@@ -5,6 +5,8 @@
 //! real x86 CPUs (paper §2.2: "Most DTLB misses result in STLB misses,
 //! incurring costly page table walks to CPU caches and DRAM").
 
+use crate::lru::{touch, INVALID};
+
 /// Geometry of a single cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -51,21 +53,10 @@ pub enum CacheLevel {
 
 /// One set-associative, LRU, physically-indexed cache level.
 ///
-/// Each way is one packed word: line tag in the high 40 bits, LRU stamp in
-/// the low 24. An 8-way set is then exactly one 64-byte host cache line,
-/// and both the hit scan and the victim scan touch that single line — half
-/// the memory traffic of parallel u64 tag/stamp arrays. The packing relies
-/// on two bounds:
-///
-/// - line addresses fit 40 bits (node-tagged physical addresses < 2^46 with
-///   64-byte lines; the global address map spans 256 GiB per NUMA node, so
-///   this covers 256 nodes), leaving the all-ones tag as the invalid
-///   sentinel;
-/// - stamps fit 24 bits because the clock is *renormalized* before it can
-///   wrap: stamps only ever compare against stamps of the same set, so
-///   compacting each set's stamps to their ranks (preserving order) and
-///   rewinding the clock is invisible to every future LRU decision. A
-///   renormalization pass every ~16M ticks costs well under 0.1% host time.
+/// Each way is one line address; an 8-way set is exactly one 64-byte host
+/// cache line. Sets are kept in recency order (see [`crate::lru`]), so a
+/// hit on the most-recently-used line — the common case — costs one
+/// compare and no shift.
 #[derive(Debug)]
 struct CacheArray {
     /// `sets - 1`; the set count is a power of two, so indexing is a mask
@@ -76,22 +67,12 @@ struct CacheArray {
     ways: u32,
     line_shift: u8,
     hashed_index: bool,
-    /// `slots[set * ways + way]` = `tag << STAMP_BITS | stamp`. Invalid
-    /// ways hold [`INVALID_SLOT`] (all-ones tag, stamp 0); valid ways
-    /// always carry stamps >= 1, so the strict-< minimum-stamp scan picks
-    /// invalid ways first — identical to "first invalid, else LRU".
-    slots: Vec<u64>,
-    clock: u32,
+    /// `lines[set * ways..][..ways]`: the set's line addresses,
+    /// most-recently-used first, with invalid ways ([`INVALID`]) trailing.
+    lines: Vec<u64>,
     hits: u64,
     misses: u64,
 }
-
-/// Bits of a packed slot holding the LRU stamp; the rest hold the tag.
-const STAMP_BITS: u32 = 24;
-/// Mask of the stamp field.
-const STAMP_MASK: u64 = (1 << STAMP_BITS) - 1;
-/// Packed slot of an invalid way: unreachable (all-ones) tag, minimal stamp.
-const INVALID_SLOT: u64 = !STAMP_MASK;
 
 impl CacheArray {
     fn new(geom: CacheGeometry) -> Self {
@@ -103,15 +84,15 @@ impl CacheArray {
             ways: geom.ways,
             line_shift: geom.line_bytes.trailing_zeros() as u8,
             hashed_index: geom.hashed_index,
-            slots: vec![INVALID_SLOT; n],
-            clock: 0,
+            lines: vec![INVALID; n],
             hits: 0,
             misses: 0,
         }
     }
 
+    /// The set holding `line`.
     #[inline]
-    fn set_base(&self, line: u64) -> usize {
+    fn set(&mut self, line: u64) -> &mut [u64] {
         let index_key = if self.hashed_index {
             // Fold higher address bits into the index (slice-hash style).
             let b = self.set_bits;
@@ -119,137 +100,23 @@ impl CacheArray {
         } else {
             line
         };
-        (index_key & self.set_mask) as usize * self.ways as usize
-    }
-
-    /// Advance the LRU clock by `n` ticks, renormalizing stamps instead of
-    /// letting the clock wrap (wrapping would invert stamp comparisons).
-    #[inline]
-    fn advance(&mut self, n: u64) {
-        let mut left = n;
-        loop {
-            let room = STAMP_MASK - self.clock as u64;
-            if left <= room {
-                self.clock += left as u32;
-                return;
-            }
-            left -= room;
-            self.renormalize();
-        }
-    }
-
-    /// Compact every set's stamps to their ranks (1..=valid ways, invalid
-    /// ways stay 0) and rewind the clock. Stamps are only ever compared
-    /// against stamps of the same set, and rank compaction preserves each
-    /// set's stamp order, so every future hit/miss/eviction decision is
-    /// unchanged. Runs once per ~16 million clock ticks; cost is noise.
-    #[cold]
-    fn renormalize(&mut self) {
         let ways = self.ways as usize;
-        let mut ranks = vec![0u32; ways];
-        for set in self.slots.chunks_exact_mut(ways) {
-            for (i, r) in ranks.iter_mut().enumerate() {
-                let si = set[i] & STAMP_MASK;
-                if si == 0 {
-                    *r = 0;
-                    continue;
-                }
-                // Valid stamps within a set are distinct (each was written
-                // at a distinct clock value), so strict-< ranking is exact.
-                *r = 1 + set
-                    .iter()
-                    .filter(|&&s| {
-                        let sj = s & STAMP_MASK;
-                        sj != 0 && sj < si
-                    })
-                    .count() as u32;
-            }
-            for (s, &r) in set.iter_mut().zip(&ranks) {
-                *s = (*s & !STAMP_MASK) | r as u64;
-            }
-        }
-        self.clock = self.ways;
+        let base = (index_key & self.set_mask) as usize * ways;
+        &mut self.lines[base..base + ways]
     }
 
     /// Look up (and on miss, fill) the line containing `paddr`.
     #[inline]
     fn access(&mut self, paddr: u64) -> bool {
         let line = paddr >> self.line_shift;
-        debug_assert!(
-            line < (u64::MAX >> STAMP_BITS),
-            "paddr beyond the packed-tag bound"
-        );
-        let base = self.set_base(line);
-        self.advance(1);
-        let tag_hi = line << STAMP_BITS;
-        let slots = &mut self.slots[base..base + self.ways as usize];
-        // Branchless scan: tags are unique within a set, so the last match
-        // is the only match. No early exit means no unpredictable branch
-        // and a vectorizable loop.
-        let mut hit = usize::MAX;
-        for (w, &s) in slots.iter().enumerate() {
-            if s & !STAMP_MASK == tag_hi {
-                hit = w;
-            }
-        }
-        if hit != usize::MAX {
-            slots[hit] = tag_hi | self.clock as u64;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        // Victim: strict-< minimum stamp (invalid ways stamp 0, valid >= 1,
-        // so this is "first invalid, else first least-recently-stamped").
-        let mut victim = 0;
-        let mut oldest = slots[0] & STAMP_MASK;
-        for (w, &s) in slots.iter().enumerate().skip(1) {
-            let stamp = s & STAMP_MASK;
-            if stamp < oldest {
-                oldest = stamp;
-                victim = w;
-            }
-        }
-        slots[victim] = tag_hi | self.clock as u64;
-        false
-    }
-
-    /// Replay the bookkeeping of `n` back-to-back accesses that all hit the
-    /// resident line containing `paddr`, without scanning `n` times.
-    ///
-    /// `n` sequential hitting [`Self::access`] calls tick the clock once
-    /// each and leave the way stamped with the final clock; `clock += n`
-    /// plus one stamp write yields the same final state because stamps only
-    /// compare against each other. The caller must have proven the line
-    /// resident (a preceding real access to the same line); bulk charges
-    /// never fill, so nothing can evict it in between.
-    #[inline]
-    fn charge_hits(&mut self, paddr: u64, n: u64) {
-        debug_assert!(n > 0, "zero-length bulk charge");
-        let line = paddr >> self.line_shift;
-        debug_assert!(
-            line < (u64::MAX >> STAMP_BITS),
-            "paddr beyond the packed-tag bound"
-        );
-        let base = self.set_base(line);
-        self.advance(n);
-        let tag_hi = line << STAMP_BITS;
-        let slots = &mut self.slots[base..base + self.ways as usize];
-        let mut hit = usize::MAX;
-        for (w, &s) in slots.iter().enumerate() {
-            if s & !STAMP_MASK == tag_hi {
-                hit = w;
-            }
-        }
-        if hit != usize::MAX {
-            slots[hit] = tag_hi | self.clock as u64;
-            self.hits += n;
-        } else {
-            debug_assert!(false, "charge_hits on a non-resident line");
-        }
+        let hit = touch(self.set(line), line);
+        self.hits += hit as u64;
+        self.misses += !hit as u64;
+        hit
     }
 
     fn flush(&mut self) {
-        self.slots.fill(INVALID_SLOT);
+        self.lines.fill(INVALID);
     }
 }
 
@@ -290,13 +157,21 @@ impl CacheHierarchy {
         }
     }
 
-    /// Replay `n` guaranteed L1 hits on the line containing `paddr`: the
-    /// L2/L3 arrays are untouched, exactly as when a scalar access hits L1.
-    /// Caller must have proven the line resident in L1 (see
-    /// [`CacheArray::charge_hits`]).
+    /// Replay `n` guaranteed L1 hits on the line containing `paddr`, which
+    /// the caller's last access left most recently used in its L1 set.
+    /// Hits on the front way leave the set exactly as it is, and the L2/L3
+    /// arrays are untouched, as when a scalar access hits L1: only the hit
+    /// counter moves.
     #[inline]
     pub(crate) fn charge_l1_hits(&mut self, paddr: u64, n: u64) {
-        self.l1.charge_hits(paddr, n);
+        debug_assert!(
+            {
+                let line = paddr >> self.l1.line_shift;
+                self.l1.set(line)[0] == line
+            },
+            "bulk hits on a line that is not most recently used"
+        );
+        self.l1.hits += n;
     }
 
     /// L1 line size in bytes (page-run charging groups elements by line).
@@ -321,6 +196,12 @@ impl CacheHierarchy {
             (self.l2.hits, self.l2.misses),
             (self.l3.hits, self.l3.misses),
         ]
+    }
+
+    /// Valid lines held by each level, L1 → L3.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> [usize; 3] {
+        [&self.l1, &self.l2, &self.l3].map(|a| a.lines.iter().filter(|&&l| l != INVALID).count())
     }
 }
 
@@ -409,8 +290,9 @@ mod tests {
         assert_eq!(c.access(0), CacheLevel::Memory);
     }
 
-    /// Bulk L1-hit charging must leave clock, stamps, stats, and future
-    /// eviction decisions identical to n scalar hitting accesses.
+    /// A real access followed by a bulk L1-hit charge must leave recency
+    /// order, stats, and future eviction decisions identical to n + 1
+    /// scalar accesses.
     #[test]
     fn bulk_l1_charge_matches_scalar_hits() {
         for n in [1u64, 3, 16, 500] {
@@ -420,12 +302,12 @@ mod tests {
                 c.access(0); // fill line 0 (set 0)
                 c.access(2 * 64); // fill line 2 (set 0); line 0 is LRU
             }
-            for _ in 0..n {
+            for _ in 0..=n {
                 assert_eq!(scalar.access(4), CacheLevel::L1); // line 0, offset 4
             }
-            bulk.charge_l1_hits(4, n);
-            assert_eq!(scalar.l1.clock, bulk.l1.clock);
-            assert_eq!(scalar.l1.slots, bulk.l1.slots);
+            assert_eq!(bulk.access(4), CacheLevel::L1);
+            bulk.charge_l1_hits(8, n);
+            assert_eq!(scalar.l1.lines, bulk.l1.lines);
             assert_eq!(scalar.level_stats(), bulk.level_stats());
             // LRU consequence: line 2 is now the victim in both.
             scalar.access(4 * 64);
@@ -435,40 +317,6 @@ mod tests {
             assert_eq!(scalar.access(2 * 64), CacheLevel::L2);
             assert_eq!(bulk.access(2 * 64), CacheLevel::L2);
         }
-    }
-
-    /// Rank-compacting the stamps must leave every future LRU decision
-    /// unchanged: renormalize one copy mid-stream and check both caches
-    /// agree on all subsequent hit/miss outcomes.
-    #[test]
-    fn renormalize_preserves_lru_order() {
-        let mut plain = tiny();
-        let mut renorm = tiny();
-        // Interleave set-0 lines to build a non-trivial stamp order.
-        for line in [0u64, 2, 0, 4, 2, 6] {
-            plain.access(line * 64);
-            renorm.access(line * 64);
-        }
-        renorm.l1.renormalize();
-        renorm.l2.renormalize();
-        renorm.l3.renormalize();
-        for line in [0u64, 8, 2, 4, 0, 6, 10, 2, 8, 4] {
-            assert_eq!(plain.access(line * 64), renorm.access(line * 64));
-        }
-    }
-
-    /// The clock advance must renormalize rather than wrap: a bulk charge
-    /// that overflows the 24-bit stamp space many times over still leaves
-    /// the charged way most-recently-used.
-    #[test]
-    fn clock_overflow_renormalizes() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(2 * 64); // set 0 full: lines 0 and 2
-        c.charge_l1_hits(0, u64::from(u32::MAX) + 5); // line 0 now MRU
-        c.access(4 * 64); // evicts line 2, the LRU way
-        assert_eq!(c.access(0), CacheLevel::L1);
-        assert_eq!(c.access(2 * 64), CacheLevel::L2);
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod attribution;
 mod cache;
 mod config;
 mod counters;
+mod lru;
 mod mmu;
 mod pagetable;
 mod pwc;

@@ -51,10 +51,11 @@ pub enum FaultKind {
 /// [`MemorySystem::charge_page_hits`].
 ///
 /// The guarantee it carries: the probed access ran the full scalar pipeline
-/// and left the resolved entry resident in its L1 DTLB (hit-refreshed or
-/// just filled). Any subsequent scalar access within the entry's page
-/// therefore deterministically takes that L1-hit path, as long as no TLB
-/// mutation (fill, invalidate, flush) intervenes:
+/// and left the resolved entry resident in its L1 DTLB, most recently used
+/// in its set (hit-refreshed or just filled). Any subsequent scalar access
+/// within the entry's page therefore deterministically takes that L1-hit
+/// path, and leaves the DTLB as it found it, as long as no TLB mutation
+/// (fill, invalidate, flush) intervenes:
 ///
 /// - base entry: the access's base VPN is the entry's VPN, so the base
 ///   DTLB probe hits;
@@ -232,8 +233,8 @@ impl MemorySystem {
     /// resolves with one VPN computation and one TLB probe before falling
     /// through to the full translation pipeline. The probe order matches
     /// [`Self::access_legacy`] exactly — the base DTLB is always consulted
-    /// first and short-circuits on a hit — so every TLB clock tick, LRU
-    /// stamp, counter, and cycle charge is bit-identical between the two.
+    /// first and short-circuits on a hit — so every TLB and cache recency
+    /// update, counter, and cycle charge is bit-identical between the two.
     ///
     /// # Errors
     ///
@@ -370,10 +371,11 @@ impl MemorySystem {
     /// Replays exactly what `count` scalar [`Self::access`] calls would
     /// have done, element for element:
     ///
-    /// - access/read/write counters and TLB recency: for a base entry, n
-    ///   base-DTLB hit charges; for a huge entry, n base-DTLB miss ticks
-    ///   plus n huge-DTLB hit charges (a huge L1 hit is not a
-    ///   `dtlb_misses` event, and neither probe charges cycles);
+    /// - access/read/write counters; TLB recency needs no update, because
+    ///   the probe left the memo's entry most recently used in its L1
+    ///   DTLB, hits on it leave the set as it is, and a missing base probe
+    ///   changes nothing (a huge L1 hit is not a `dtlb_misses` event, and
+    ///   neither probe charges cycles);
     /// - data caches: within the page, the first access to each L1 line
     ///   (the *line leader*) is a real [`CacheHierarchy::access`] probe —
     ///   its service level is genuinely unknown — while the followers it
@@ -436,7 +438,9 @@ impl MemorySystem {
             }] += 1;
             cycles += c;
             elems += 1;
-            if cycles >= budget {
+            // A single-element charge (a gather's cursor hit) stops here,
+            // before the follower arithmetic and its two divisions.
+            if cycles >= budget || elems == count {
                 break 'run;
             }
             // Followers on the leader's L1 line are guaranteed L1 hits;
@@ -467,16 +471,17 @@ impl MemorySystem {
         } else {
             self.counters.reads += elems;
         }
-        match entry.size {
-            PageSize::Base => self.dtlb_base.charge_hits(entry.vpn, PageSize::Base, elems),
-            PageSize::Huge => {
-                // Scalar stepping probes the base DTLB first and misses
-                // (the probed access proved no base entry covers this
-                // page), then hits the huge DTLB.
-                self.dtlb_base.charge_misses(elems);
-                self.dtlb_huge.charge_hits(entry.vpn, PageSize::Huge, elems);
-            }
-        }
+        // No TLB update: the probe left the entry most recently used in its
+        // L1 DTLB and nothing has touched that DTLB since, so n more hits
+        // leave it as it is. For a huge entry, scalar stepping would also
+        // probe the base DTLB first and miss, which changes nothing.
+        debug_assert!(
+            match entry.size {
+                PageSize::Base => self.dtlb_base.is_mru(entry.vpn, PageSize::Base),
+                PageSize::Huge => self.dtlb_huge.is_mru(entry.vpn, PageSize::Huge),
+            },
+            "memo entry is not most recently used in its L1 DTLB"
+        );
         if let Some(attr) = &mut self.attribution {
             attr.cur().accesses[size_idx(entry.size)] += elems;
         }
@@ -769,7 +774,7 @@ impl MemorySystem {
         }
         match result {
             WalkResult::Mapped(leaf) => {
-                self.pwc.fill(vpn, table_levels, pwc_hit);
+                self.pwc.fill(vpn, table_levels);
                 if self.tracer.wants(EventMask::PAGE_WALK) {
                     self.tracer.emit(EventKind::PageWalk {
                         vaddr: vaddr.0,
@@ -1073,8 +1078,8 @@ mod tests {
                 assert_eq!(fast.mmu.counters(), scalar.mmu.counters());
                 assert_eq!(fast.mmu.cache_stats(), scalar.mmu.cache_stats());
                 // Recency canary: drive both through an identical follow-up
-                // stream that forces evictions; divergent stamps would
-                // surface as divergent costs or counters.
+                // stream that forces evictions; divergent recency order
+                // would surface as divergent costs or counters.
                 for i in 0..200u64 {
                     map_base(&mut fast, 0x100_0000 + i * 0x1000);
                     map_base(&mut scalar, 0x100_0000 + i * 0x1000);
@@ -1088,9 +1093,9 @@ mod tests {
         }
     }
 
-    /// Same equivalence on a huge-page mapping: bulk charges must tick the
-    /// base DTLB's miss clock and refresh the huge DTLB, with attribution
-    /// landing in the huge column.
+    /// Same equivalence on a huge-page mapping: bulk charges must leave both
+    /// DTLBs as the scalar hits do, with attribution landing in the huge
+    /// column.
     #[test]
     fn bulk_page_charge_matches_scalar_huge_page() {
         let mut fast = rig(9);
@@ -1106,8 +1111,8 @@ mod tests {
             .unwrap();
             r.mmu.enable_attribution(true);
             r.mmu.set_region(3);
-            // Warm the base DTLB with a conflicting base page so its miss
-            // clock is live on both sides.
+            // Warm the base DTLB with a base page so its huge-run misses
+            // probe a non-empty array on both sides.
             map_base(r, 0x1000);
             r.mmu.access(&r.pt, VirtAddr(0x1000), false).unwrap();
         }

@@ -4,81 +4,15 @@
 //! so a TLB miss rarely costs a full 4-reference walk. We model one small
 //! fully-associative LRU cache per non-leaf level.
 
-/// A small fully-associative LRU cache of `u64` keys. Keys and LRU stamps
-/// live in parallel arrays so the per-walk probe scans 8 bytes per entry;
-/// stamps are touched only on a hit or an eviction.
-#[derive(Debug)]
-struct SmallLru {
-    capacity: usize,
-    keys: Vec<u64>,
-    stamps: Vec<u64>,
-    clock: u64,
-}
-
-impl SmallLru {
-    fn new(capacity: usize) -> Self {
-        SmallLru {
-            capacity,
-            keys: Vec::with_capacity(capacity),
-            stamps: Vec::with_capacity(capacity),
-            clock: 0,
-        }
-    }
-
-    fn contains(&mut self, key: u64) -> bool {
-        self.clock += 1;
-        if let Some(i) = self.keys.iter().position(|&k| k == key) {
-            self.stamps[i] = self.clock;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn insert(&mut self, key: u64) {
-        self.clock += 1;
-        // One pass: refresh on a duplicate, else remember the LRU victim
-        // (least stamp, first index on ties, like `min_by_key`).
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k == key {
-                self.stamps[i] = self.clock;
-                return;
-            }
-            let s = self.stamps[i];
-            if s < oldest {
-                oldest = s;
-                victim = i;
-            }
-        }
-        if self.keys.len() < self.capacity {
-            self.keys.push(key);
-            self.stamps.push(self.clock);
-            return;
-        }
-        self.keys[victim] = key;
-        self.stamps[victim] = self.clock;
-    }
-
-    fn invalidate(&mut self, key: u64) {
-        while let Some(i) = self.keys.iter().position(|&k| k == key) {
-            self.keys.remove(i);
-            self.stamps.remove(i);
-        }
-    }
-
-    fn flush(&mut self) {
-        self.keys.clear();
-        self.stamps.clear();
-    }
-}
+use crate::lru::{hit, touch, INVALID};
 
 /// The set of per-level paging-structure caches (levels 0..=2; leaf PTEs are
 /// cached by the TLBs, not here).
 #[derive(Debug)]
 pub(crate) struct PageWalkCaches {
-    levels: [SmallLru; 3],
+    /// One small fully-associative LRU set of level-tagged prefixes per
+    /// level, in recency order (see [`crate::lru`]).
+    levels: [Vec<u64>; 3],
     /// `shift[i]`: right-shift of the base VPN giving level `i`'s prefix.
     shifts: [u8; 3],
 }
@@ -88,11 +22,7 @@ impl PageWalkCaches {
     /// `shift_below[i]` = VPN bits covered below level `i`'s index.
     pub(crate) fn new(entries: [u32; 3], shifts: [u8; 3]) -> Self {
         PageWalkCaches {
-            levels: [
-                SmallLru::new(entries[0] as usize),
-                SmallLru::new(entries[1] as usize),
-                SmallLru::new(entries[2] as usize),
-            ],
+            levels: entries.map(|n| vec![INVALID; n as usize]),
             shifts,
         }
     }
@@ -110,7 +40,7 @@ impl PageWalkCaches {
         let top = max_level.min(3);
         for level in (0..top).rev() {
             let p = self.prefix(vpn, level);
-            if self.levels[level].contains(p) {
+            if hit(&mut self.levels[level], p) {
                 return Some(level);
             }
         }
@@ -118,18 +48,12 @@ impl PageWalkCaches {
     }
 
     /// Record that levels `0..filled` of the walk for `vpn` read valid
-    /// table pointers. `refreshed` is the level [`Self::deepest_hit`] just
-    /// hit for this same `vpn`, if any: `contains` already re-stamped that
-    /// entry, and nothing else touched its array since, so re-inserting it
-    /// would only repeat the scan — skipping it leaves the stamp *order*
-    /// (all the LRU ever compares) identical.
-    pub(crate) fn fill(&mut self, vpn: u64, filled: usize, refreshed: Option<usize>) {
+    /// table pointers. The level [`Self::deepest_hit`] just hit is already
+    /// most recently used, so refreshing it again changes nothing.
+    pub(crate) fn fill(&mut self, vpn: u64, filled: usize) {
         for level in 0..filled.min(3) {
-            if refreshed == Some(level) {
-                continue;
-            }
             let p = self.prefix(vpn, level);
-            self.levels[level].insert(p);
+            touch(&mut self.levels[level], p);
         }
     }
 
@@ -137,13 +61,25 @@ impl PageWalkCaches {
     /// region is promoted or demoted, which rewrites the level-2 PTE).
     pub(crate) fn invalidate_leaf_dir(&mut self, vpn: u64) {
         let p = self.prefix(vpn, 2);
-        self.levels[2].invalidate(p);
+        let set = &mut self.levels[2];
+        if let Some(w) = set.iter().position(|&k| k == p) {
+            // Ways behind it move up one, keeping invalid ways at the tail.
+            let last = set.len() - 1;
+            set[w..].rotate_left(1);
+            set[last] = INVALID;
+        }
     }
 
     pub(crate) fn flush(&mut self) {
-        for l in &mut self.levels {
-            l.flush();
+        for set in &mut self.levels {
+            set.fill(INVALID);
         }
+    }
+
+    /// Valid entries held by level `level`.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self, level: usize) -> usize {
+        self.levels[level].iter().filter(|&&k| k != INVALID).count()
     }
 }
 
@@ -160,7 +96,7 @@ mod tests {
         let mut p = pwc();
         let vpn = 0x12345;
         assert_eq!(p.deepest_hit(vpn, 3), None);
-        p.fill(vpn, 3, None);
+        p.fill(vpn, 3);
         assert_eq!(p.deepest_hit(vpn, 3), Some(2));
         // A different address sharing only the top-level prefix hits level 0.
         let far = vpn ^ (1 << 20);
@@ -170,7 +106,7 @@ mod tests {
     #[test]
     fn max_level_limits_lookup() {
         let mut p = pwc();
-        p.fill(7, 3, None);
+        p.fill(7, 3);
         // Huge-page walk: level 2 holds the leaf, only levels 0..2 usable.
         assert_eq!(p.deepest_hit(7, 2), Some(1));
     }
@@ -182,10 +118,10 @@ mod tests {
         let a = 1u64 << 27;
         let b = 2u64 << 27;
         let c = 3u64 << 27;
-        p.fill(a, 1, None);
-        p.fill(b, 1, None);
+        p.fill(a, 1);
+        p.fill(b, 1);
         assert_eq!(p.deepest_hit(a, 3), Some(0)); // refresh a
-        p.fill(c, 1, None); // evicts b
+        p.fill(c, 1); // evicts b
         assert_eq!(p.deepest_hit(b, 3), None);
         assert_eq!(p.deepest_hit(a, 3), Some(0));
     }
@@ -193,7 +129,7 @@ mod tests {
     #[test]
     fn invalidate_leaf_dir_clears_only_level2() {
         let mut p = pwc();
-        p.fill(99, 3, None);
+        p.fill(99, 3);
         p.invalidate_leaf_dir(99);
         assert_eq!(p.deepest_hit(99, 3), Some(1));
     }
@@ -201,7 +137,7 @@ mod tests {
     #[test]
     fn flush_clears_everything() {
         let mut p = pwc();
-        p.fill(5, 3, None);
+        p.fill(5, 3);
         p.flush();
         assert_eq!(p.deepest_hit(5, 3), None);
     }

@@ -1,6 +1,7 @@
 //! Set-associative translation lookaside buffers.
 
 use crate::addr::PageSize;
+use crate::lru::{move_to_front, INVALID};
 
 /// An entry cached by a TLB: a virtual page number translated to the base
 /// frame of its backing physical page.
@@ -21,41 +22,25 @@ pub(crate) struct TlbEntry {
 /// A single array holds entries of one page size (L1 DTLBs) or of several
 /// page sizes (the unified STLB — looked up once per size by the caller,
 /// matching how hardware probes a unified L2 TLB with multiple hash
-/// functions).
+/// functions). Sets are kept in recency order: most recently used way
+/// first, invalid ways last.
 #[derive(Debug)]
 pub struct SetAssocTlb {
     /// `sets - 1`; the set count is a power of two, so the set index is a
     /// mask — a hardware divide here would sit on every simulated access.
     set_mask: u64,
     ways: u32,
-    /// Packed probe keys parallel to `entries`: `vpn << 1 | huge`, with
-    /// `u64::MAX` marking an invalid way. Probes scan 8 bytes per way
-    /// instead of a whole `TlbEntry`; this array is the hottest state in
-    /// the simulator.
+    /// Packed probe keys parallel to `entries`: `vpn << 1 | huge`, most
+    /// recently used first, with [`INVALID`] ways trailing. Probes scan 8
+    /// bytes per way instead of a whole `TlbEntry`; this array is the
+    /// hottest state in the simulator.
     keys: Vec<u64>,
     /// Payloads parallel to `keys`; only meaningful where the key is valid.
     entries: Vec<TlbEntry>,
-    stamps: Vec<u64>,
-    clock: u64,
-    /// Number of valid ways per page size (`[base, huge]`); lets lookups
-    /// for a size with no resident entries — the huge probe of a
-    /// base-pages-only run, or the base probe of a fully-promoted unified
-    /// STLB — return without scanning. Skipping the scan (and its clock
-    /// tick) is invisible to the model: stamps only ever compare against
-    /// each other, and dropping dead ticks renumbers the clock
-    /// monotonically, which preserves every stamp ordering and therefore
-    /// every LRU outcome.
-    live: [u32; 2],
-}
-
-/// Index into per-size occupancy counts.
-#[inline]
-fn size_slot(size: PageSize) -> usize {
-    (size == PageSize::Huge) as usize
 }
 
 /// Pack a (vpn, size) probe into one comparable word. VPNs fit in 48 bits,
-/// so the shift cannot collide with the `u64::MAX` invalid sentinel.
+/// so the shift cannot collide with the [`INVALID`] sentinel.
 #[inline]
 fn probe_key(vpn: u64, size: PageSize) -> u64 {
     (vpn << 1) | (size == PageSize::Huge) as u64
@@ -82,11 +67,8 @@ impl SetAssocTlb {
         SetAssocTlb {
             set_mask: sets - 1,
             ways,
-            keys: vec![u64::MAX; entries as usize],
+            keys: vec![INVALID; entries as usize],
             entries: vec![placeholder; entries as usize],
-            stamps: vec![0; entries as usize],
-            clock: 0,
-            live: [0; 2],
         }
     }
 
@@ -100,23 +82,30 @@ impl SetAssocTlb {
         ((vpn & self.set_mask) as usize) * self.ways as usize
     }
 
+    /// Way of probe key `key` within the set starting at `base`, if
+    /// resident. Invalid ways never match a key.
+    #[inline]
+    fn find(&self, base: usize, key: u64) -> Option<usize> {
+        self.keys[base..base + self.ways as usize]
+            .iter()
+            .position(|&k| k == key)
+    }
+
+    /// Make way `w` of the set at `base` the most recently used.
+    #[inline]
+    fn move_to_front(&mut self, base: usize, w: usize) {
+        let ways = self.ways as usize;
+        move_to_front(&mut self.keys[base..base + ways], w);
+        move_to_front(&mut self.entries[base..base + ways], w);
+    }
+
     /// Look up `vpn` of page size `size`; refreshes LRU on hit.
     #[inline]
     pub(crate) fn lookup(&mut self, vpn: u64, size: PageSize) -> Option<TlbEntry> {
-        if self.live[size_slot(size)] == 0 {
-            return None;
-        }
         let base = self.set_base(vpn);
-        let key = probe_key(vpn, size);
-        self.clock += 1;
-        let keys = &self.keys[base..base + self.ways as usize];
-        for (w, &k) in keys.iter().enumerate() {
-            if k == key {
-                self.stamps[base + w] = self.clock;
-                return Some(self.entries[base + w]);
-            }
-        }
-        None
+        let w = self.find(base, probe_key(vpn, size))?;
+        self.move_to_front(base, w);
+        Some(self.entries[base])
     }
 
     /// Insert an entry, evicting the LRU way of its set. Returns the
@@ -126,92 +115,40 @@ impl SetAssocTlb {
     pub(crate) fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         let base = self.set_base(entry.vpn);
         let key = probe_key(entry.vpn, entry.size);
-        self.clock += 1;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        let mut displaced = false;
-        for w in 0..self.ways as usize {
-            let k = self.keys[base + w];
-            if k == u64::MAX || k == key {
-                victim = w;
-                displaced = false;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-                displaced = true;
-            }
-        }
-        let out = displaced.then(|| self.entries[base + victim]);
-        if self.keys[base + victim] == u64::MAX {
-            self.live[size_slot(entry.size)] += 1;
-        } else if let Some(v) = out {
-            // A valid entry of a possibly different size was displaced.
-            self.live[size_slot(v.size)] -= 1;
-            self.live[size_slot(entry.size)] += 1;
-        }
-        self.keys[base + victim] = key;
-        self.entries[base + victim] = entry;
-        self.stamps[base + victim] = self.clock;
+        // An update refreshes the resident way; a fill takes the tail way.
+        let w = self.find(base, key).unwrap_or(self.ways as usize - 1);
+        let out = (self.keys[base + w] != key && self.keys[base + w] != INVALID)
+            .then(|| self.entries[base + w]);
+        self.keys[base + w] = key;
+        self.entries[base + w] = entry;
+        self.move_to_front(base, w);
         out
     }
 
-    /// Replay the bookkeeping of `n` back-to-back lookups that all hit the
-    /// resident entry for `vpn`/`size`, without scanning `n` times.
-    ///
-    /// `n` sequential [`Self::lookup`] hits tick the clock once each and
-    /// leave the way stamped with the final clock value; `clock += n` plus
-    /// one stamp write produces the *same* final state, because stamps only
-    /// ever compare against each other. The caller must have proven the
-    /// entry resident (a preceding real lookup or fill on the same page);
-    /// bulk charges never fill, so residency cannot change under them.
-    #[inline]
-    pub(crate) fn charge_hits(&mut self, vpn: u64, size: PageSize, n: u64) {
-        let base = self.set_base(vpn);
-        let key = probe_key(vpn, size);
-        self.clock += n;
-        for w in 0..self.ways as usize {
-            if self.keys[base + w] == key {
-                self.stamps[base + w] = self.clock;
-                return;
-            }
-        }
-        debug_assert!(false, "charge_hits on a non-resident entry");
+    /// Whether `vpn`/`size` is the most recently used way of its set: hits
+    /// on it then leave the set exactly as it is, which is why bulk hit
+    /// charges need no TLB update. For debug assertions and tests.
+    pub(crate) fn is_mru(&self, vpn: u64, size: PageSize) -> bool {
+        self.keys[self.set_base(vpn)] == probe_key(vpn, size)
     }
 
-    /// Replay the clock effect of `n` back-to-back *base-size* lookups
-    /// that all missed: each scalar miss that scans ticks the probe clock
-    /// once and stamps nothing; a probe for a size with no resident
-    /// entries returns before ticking (see [`Self::lookup`]). Only the
-    /// base DTLB takes bulk miss charges, so the base slot is the one that
-    /// gates the tick. `live` cannot change mid-charge because bulk
-    /// charges never fill.
-    #[inline]
-    pub(crate) fn charge_misses(&mut self, n: u64) {
-        if self.live[size_slot(PageSize::Base)] > 0 {
-            self.clock += n;
-        }
-    }
-
-    /// Non-mutating residency check (no clock tick, no LRU refresh) —
-    /// only for debug assertions, where a real probe would perturb the
-    /// state being checked.
+    /// Non-mutating residency check (no LRU refresh) — only for debug
+    /// assertions, where a real probe would perturb the state being checked.
     #[cfg(debug_assertions)]
     pub(crate) fn resident(&self, vpn: u64, size: PageSize) -> bool {
-        let base = self.set_base(vpn);
-        self.keys[base..base + self.ways as usize].contains(&probe_key(vpn, size))
+        self.find(self.set_base(vpn), probe_key(vpn, size))
+            .is_some()
     }
 
-    /// Drop the entry for `vpn`/`size` if present.
+    /// Drop the entry for `vpn`/`size` if present. The ways behind it move
+    /// up one, keeping invalid ways at the tail.
     pub(crate) fn invalidate(&mut self, vpn: u64, size: PageSize) {
         let base = self.set_base(vpn);
-        let key = probe_key(vpn, size);
-        for w in 0..self.ways as usize {
-            if self.keys[base + w] == key {
-                self.keys[base + w] = u64::MAX;
-                self.live[size_slot(size)] -= 1;
-            }
+        if let Some(w) = self.find(base, probe_key(vpn, size)) {
+            let end = base + self.ways as usize;
+            self.keys[base + w..end].rotate_left(1);
+            self.entries[base + w..end].rotate_left(1);
+            self.keys[end - 1] = INVALID;
         }
     }
 
@@ -235,14 +172,12 @@ impl SetAssocTlb {
 
     /// Drop everything (full TLB shootdown / context switch).
     pub fn flush(&mut self) {
-        self.keys.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.live = [0; 2];
+        self.keys.fill(INVALID);
     }
 
     /// Number of currently valid entries (diagnostics).
     pub fn occupancy(&self) -> u32 {
-        self.keys.iter().filter(|&&k| k != u64::MAX).count() as u32
+        self.keys.iter().filter(|&&k| k != INVALID).count() as u32
     }
 }
 
@@ -324,8 +259,9 @@ mod tests {
         let _ = SetAssocTlb::new(7, 2);
     }
 
-    /// `charge_hits(n)` must leave clock, stamps, and therefore future LRU
-    /// decisions identical to `n` scalar lookups of the same entry.
+    /// Bulk hit charges need no TLB update: after one lookup the entry is
+    /// most recently used, and any number of further lookups leave the set
+    /// exactly as it is.
     #[test]
     fn bulk_hit_charge_matches_scalar_lookups() {
         for n in [1u64, 2, 7, 1024] {
@@ -334,41 +270,16 @@ mod tests {
             for t in [&mut scalar, &mut bulk] {
                 t.insert(e(0));
                 t.insert(e(4)); // same set as 0
+                assert!(t.lookup(0, PageSize::Base).is_some());
             }
             for _ in 0..n {
-                assert!(scalar.lookup(4, PageSize::Base).is_some());
+                assert!(scalar.lookup(0, PageSize::Base).is_some());
             }
-            bulk.charge_hits(4, PageSize::Base, n);
-            assert_eq!(scalar.clock, bulk.clock);
-            assert_eq!(scalar.stamps, bulk.stamps);
-            // The LRU consequence: vpn 0 is now the victim in both.
-            scalar.insert(e(8));
-            bulk.insert(e(8));
-            assert!(scalar.lookup(0, PageSize::Base).is_none());
-            assert!(bulk.lookup(0, PageSize::Base).is_none());
-            assert!(bulk.lookup(4, PageSize::Base).is_some());
+            assert!(bulk.is_mru(0, PageSize::Base));
+            assert_eq!(scalar.keys, bulk.keys);
+            // The LRU consequence: vpn 4 is the victim in both.
+            assert_eq!(scalar.insert(e(8)), Some(e(4)));
+            assert_eq!(bulk.insert(e(8)), Some(e(4)));
         }
-    }
-
-    /// `charge_misses(n)` must match `n` scalar missing lookups on both an
-    /// empty array (no clock tick) and a populated one (one tick each).
-    #[test]
-    fn bulk_miss_charge_matches_scalar_lookups() {
-        let mut scalar = SetAssocTlb::new(8, 2);
-        let mut bulk = SetAssocTlb::new(8, 2);
-        for _ in 0..5 {
-            assert!(scalar.lookup(9, PageSize::Base).is_none());
-        }
-        bulk.charge_misses(5);
-        assert_eq!(scalar.clock, bulk.clock); // both 0: empty arrays skip the tick
-        for t in [&mut scalar, &mut bulk] {
-            t.insert(e(1));
-        }
-        for _ in 0..5 {
-            assert!(scalar.lookup(9, PageSize::Base).is_none());
-        }
-        bulk.charge_misses(5);
-        assert_eq!(scalar.clock, bulk.clock);
-        assert_eq!(scalar.stamps, bulk.stamps);
     }
 }
