@@ -9,9 +9,21 @@
 
 use graphmem_core::{AccessEngine, Experiment, PagePolicy, RunReport};
 use graphmem_graph::Dataset;
+use graphmem_integration_tests::{assert_fixture_section, debug_digest, fnv1a};
 use graphmem_os::{System, SystemSpec, ThpMode, VirtAddr};
 use graphmem_workloads::{AllocOrder, GraphArrays, Kernel};
 use proptest::prelude::*;
+
+const ORACLE: &str = include_str!("golden/oracle_digests.txt");
+
+/// One fixture line: the report's JSON digest and the config hash.
+fn cell(name: &str, report: &RunReport, exp: &Experiment) -> String {
+    format!(
+        "{name} {} {}\n",
+        fnv1a(report.to_json().as_bytes()),
+        exp.config_hash()
+    )
+}
 
 /// `GRAPHMEM_SCALE=tiny` equivalent: the graphmem-bench scale ladder maps
 /// "tiny" to four scale steps below the dataset preset.
@@ -45,7 +57,7 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.to_json(), b.to_json(), "{what}: serialized report");
 }
 
-fn run_engine(ds: Dataset, kernel: Kernel, engine: AccessEngine) -> RunReport {
+fn experiment(ds: Dataset, kernel: Kernel, engine: AccessEngine) -> Experiment {
     Experiment::builder(ds, kernel)
         .scale(tiny_scale(ds))
         .huge_order(4)
@@ -53,20 +65,27 @@ fn run_engine(ds: Dataset, kernel: Kernel, engine: AccessEngine) -> RunReport {
         .access_engine(engine)
         .build()
         .expect("valid config")
-        .run()
+}
+
+fn run_engine(ds: Dataset, kernel: Kernel, engine: AccessEngine) -> RunReport {
+    experiment(ds, kernel, engine).run()
 }
 
 /// All four kernels on all four dataset presets: batched/fast-path reports
 /// must match the legacy scalar pipeline field-by-field.
 #[test]
 fn all_kernels_all_datasets_bit_identical() {
+    let mut actual = String::new();
     for ds in Dataset::ALL {
         for kernel in Kernel::EXTENDED {
             let legacy = run_engine(ds, kernel, AccessEngine::Legacy);
             let batched = run_engine(ds, kernel, AccessEngine::Batched);
             assert_reports_identical(&legacy, &batched, &format!("{kernel} on {}", ds.name()));
+            let exp = experiment(ds, kernel, AccessEngine::Batched);
+            actual += &cell(&format!("{}/{kernel}", ds.name()), &batched, &exp);
         }
     }
+    assert_fixture_section(ORACLE, "datasets", &actual);
 }
 
 /// Epoch sampling interacts with the event-horizon watermark: a sampled run
@@ -74,7 +93,7 @@ fn all_kernels_all_datasets_bit_identical() {
 /// cycles, same counter snapshots).
 #[test]
 fn sampled_series_bit_identical() {
-    let run = |engine| {
+    let exp = |engine| {
         Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
             .scale(tiny_scale(Dataset::Wiki))
             .huge_order(4)
@@ -83,15 +102,16 @@ fn sampled_series_bit_identical() {
             .access_engine(engine)
             .build()
             .expect("valid config")
-            .run()
     };
-    let legacy = run(AccessEngine::Legacy);
-    let batched = run(AccessEngine::Batched);
+    let legacy = exp(AccessEngine::Legacy).run();
+    let batched = exp(AccessEngine::Batched).run();
     assert!(
         legacy.series.as_ref().is_some_and(|s| s.len() > 2),
         "series too short to be probative"
     );
     assert_reports_identical(&legacy, &batched, "sampled pagerank");
+    let line = cell("pagerank", &batched, &exp(AccessEngine::Batched));
+    assert_fixture_section(ORACLE, "sampled", &line);
 }
 
 /// `--attribution` used to force the batch APIs down the scalar path; now
@@ -101,7 +121,7 @@ fn sampled_series_bit_identical() {
 /// run records.
 #[test]
 fn attribution_bit_identical_on_fast_path() {
-    let run = |engine| {
+    let exp = |engine| {
         Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
             .scale(tiny_scale(Dataset::Wiki))
             .huge_order(4)
@@ -111,10 +131,9 @@ fn attribution_bit_identical_on_fast_path() {
             .build()
             .expect("valid config")
             .attribution(true)
-            .run()
     };
-    let legacy = run(AccessEngine::Legacy);
-    let batched = run(AccessEngine::Batched);
+    let legacy = exp(AccessEngine::Legacy).run();
+    let batched = exp(AccessEngine::Batched).run();
     let regions = batched
         .attribution
         .as_ref()
@@ -125,6 +144,8 @@ fn attribution_bit_identical_on_fast_path() {
     // `assert_reports_identical` compares the serialized report, which
     // embeds the full attribution tables and memstate series.
     assert_reports_identical(&legacy, &batched, "attribution-on pagerank");
+    let line = cell("pagerank", &batched, &exp(AccessEngine::Batched));
+    assert_fixture_section(ORACLE, "attribution", &line);
 }
 
 /// Per-array profiles (reads/writes/seq-breaks/page histograms) are not
@@ -147,6 +168,8 @@ fn per_array_profiles_bit_identical() {
     let (batched, batched_pages) = run(AccessEngine::Batched);
     assert_eq!(legacy, batched, "per-array profiles diverged");
     assert_eq!(legacy_pages, batched_pages, "page histograms diverged");
+    let line = format!("bfs {}\n", debug_digest(&(batched, batched_pages)));
+    assert_fixture_section(ORACLE, "profiles", &line);
 }
 
 /// A run that faults on a page boundary mid-batch must resume at the

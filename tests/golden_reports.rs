@@ -14,30 +14,30 @@
 //! model, replace the fixture with the `actual` lines the failure prints.
 
 use graphmem_core::{
-    Experiment, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan, RunReport,
+    Experiment, ExperimentBuilder, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan,
+    RunReport, RunSpec, Surplus,
 };
 use graphmem_graph::Dataset;
-use graphmem_workloads::Kernel;
+use graphmem_integration_tests::{assert_fixture_section, debug_digest, fnv1a, Fnv1a};
+use graphmem_os::{System, SystemSpec, ThpMode};
+use graphmem_telemetry::{EventMask, TraceConfig, Tracer};
+use graphmem_workloads::{default_root, AllocOrder, GraphArrays, Kernel};
 
 const FIXTURE: &str = include_str!("golden/report_digests.txt");
+const OBSERVATION: &str = include_str!("golden/observation_digests.txt");
+const ORACLE: &str = include_str!("golden/oracle_digests.txt");
 
 const KERNELS: [Kernel; 4] = [Kernel::Bfs, Kernel::Pagerank, Kernel::Sssp, Kernel::Cc];
 
-/// FNV-1a 64-bit, as fixed-width hex (the same hash `config_hash` uses).
-fn fnv1a(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
-fn run(kernel: Kernel, plan: PageSizePlan, condition: MemoryCondition) -> RunReport {
+fn builder(kernel: Kernel, plan: PageSizePlan, condition: MemoryCondition) -> ExperimentBuilder {
     Experiment::builder(Dataset::Wiki, kernel)
         .scale(Dataset::Wiki.default_scale() - 4)
         .plan(plan)
         .condition(condition)
+}
+
+fn run(kernel: Kernel, plan: PageSizePlan, condition: MemoryCondition) -> RunReport {
+    builder(kernel, plan, condition)
         .build()
         .expect("valid config")
         .run()
@@ -88,4 +88,137 @@ fn report_digests_match_fixture() {
         actual, expected,
         "report digests moved: the simulated model changed"
     );
+}
+
+/// A tracer recording every event kind, with a ring large enough that
+/// nothing is displaced.
+fn record_everything() -> Tracer {
+    Tracer::enabled(
+        TraceConfig::default()
+            .mask(EventMask::ALL)
+            .ring_capacity(1 << 21),
+    )
+}
+
+/// Run `builder` with a record-everything tracer attached; returns the
+/// report and one fixture line: event count, event-stream digest and
+/// report digest.
+fn observed(builder: ExperimentBuilder) -> (RunReport, String) {
+    let tracer = record_everything();
+    let report = builder
+        .telemetry(tracer.clone())
+        .build()
+        .expect("valid config")
+        .run();
+    let stats = tracer.stats();
+    assert_eq!(stats.dropped_from_ring, 0, "the ring must hold every event");
+    let events = tracer.events();
+    assert!(events.len() > 1000, "too few events to be probative");
+    let line = format!(
+        "{} {} {}",
+        events.len(),
+        debug_digest(&events),
+        fnv1a(report.to_json().as_bytes())
+    );
+    (report, line)
+}
+
+/// The full telemetry event stream of a sampled, pressured THP BFS run is
+/// pinned, cycle stamps included, and attaching the tracer leaves the
+/// report byte-identical to an unobserved run.
+#[test]
+fn telemetry_stream_of_pressured_thp_bfs_is_pinned() {
+    let cell = || {
+        builder(
+            Kernel::Bfs,
+            PageSizePlan::with_policy(PagePolicy::ThpSystemWide),
+            MemoryCondition::pressured(Surplus::FractionOfWss(0.2)),
+        )
+        .sample_interval(50_000)
+    };
+    let (report, line) = observed(cell());
+    let plain = cell().build().expect("valid config").run();
+    assert_eq!(
+        report.to_json(),
+        plain.to_json(),
+        "telemetry perturbed the run"
+    );
+    assert_fixture_section(
+        OBSERVATION,
+        "telemetry bfs-thp-pressured0.2",
+        &format!("{line}\n"),
+    );
+}
+
+/// The same for the governed PageRank cell of the report grid: its
+/// observed report must still carry the grid's pinned digest.
+#[test]
+fn telemetry_stream_of_governed_pagerank_is_pinned() {
+    let (report, line) = observed(builder(
+        Kernel::Pagerank,
+        governed_thp(),
+        MemoryCondition::fragmented(0.6),
+    ));
+    let grid = format!(
+        "pr thp-frag0.6-governed {}",
+        fnv1a(report.to_json().as_bytes())
+    );
+    assert!(
+        FIXTURE.lines().any(|l| l == grid),
+        "telemetry perturbed the governed run"
+    );
+    assert_fixture_section(
+        OBSERVATION,
+        "telemetry pr-thp-frag0.6-governed",
+        &format!("{line}\n"),
+    );
+}
+
+/// The access trace of a THP BFS run — initialization and kernel — is
+/// pinned, one entry per element access, and recording it leaves the
+/// clock and counters exactly where an unrecorded run leaves them.
+#[test]
+fn access_trace_of_thp_bfs_is_pinned() {
+    let csr = Dataset::Wiki.generate_with_scale(Dataset::Wiki.default_scale() - 4);
+    let run = |trace: bool| {
+        let mut spec = SystemSpec::scaled_with_order(64, 4);
+        spec.thp.mode = ThpMode::Always;
+        let mut sys = System::new(spec);
+        if trace {
+            sys.start_tracing();
+        }
+        let mut arrays = GraphArrays::map(&mut sys, &csr, Kernel::Bfs);
+        arrays.initialize(&mut sys, AllocOrder::Natural);
+        Kernel::Bfs.run_simulated(&mut sys, &mut arrays, default_root(&csr));
+        let trace = sys.take_trace();
+        (sys.clock(), *sys.perf(), *sys.os_stats(), trace)
+    };
+    let (clock, perf, os, trace) = run(true);
+    let (plain_clock, plain_perf, plain_os, _) = run(false);
+    assert_eq!(
+        (clock, perf, os),
+        (plain_clock, plain_perf, plain_os),
+        "tracing perturbed the run"
+    );
+    assert!(
+        os.huge_faults > 0,
+        "the run must map huge pages to be probative"
+    );
+    let mut h = Fnv1a::default();
+    for (addr, is_write) in trace.iter() {
+        h.update(&addr.0.to_le_bytes());
+        h.update(&[u8::from(is_write)]);
+    }
+    let line = format!("{} {} {clock}\n", trace.len(), h.hex());
+    assert_fixture_section(OBSERVATION, "access-trace bfs-thp", &line);
+}
+
+/// `config_hash` is a config's identity in manifests and store shards:
+/// the default spec's hash is pinned.
+#[test]
+fn default_spec_config_hash_is_pinned() {
+    let hash = RunSpec::default()
+        .config_hash()
+        .expect("default spec is valid");
+    assert_fixture_section(ORACLE, "spec default", &format!("{hash}\n"));
 }

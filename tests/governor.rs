@@ -18,8 +18,11 @@ use graphmem_core::{
     RunSpec,
 };
 use graphmem_graph::Dataset;
+use graphmem_integration_tests::{assert_fixture_section, fnv1a};
 use graphmem_workloads::Kernel;
 use proptest::prelude::*;
+
+const ORACLE: &str = include_str!("golden/oracle_digests.txt");
 
 fn tiny_scale(ds: Dataset) -> u8 {
     ds.default_scale() - 4
@@ -31,7 +34,7 @@ fn fragmented() -> MemoryCondition {
     MemoryCondition::fragmented(0.6)
 }
 
-fn run_plan(kernel: Kernel, plan: PageSizePlan, engine: AccessEngine) -> RunReport {
+fn plan_experiment(kernel: Kernel, plan: PageSizePlan, engine: AccessEngine) -> Experiment {
     Experiment::builder(Dataset::Wiki, kernel)
         .scale(tiny_scale(Dataset::Wiki))
         .plan(plan)
@@ -39,7 +42,10 @@ fn run_plan(kernel: Kernel, plan: PageSizePlan, engine: AccessEngine) -> RunRepo
         .access_engine(engine)
         .build()
         .expect("valid config")
-        .run()
+}
+
+fn run_plan(kernel: Kernel, plan: PageSizePlan, engine: AccessEngine) -> RunReport {
+    plan_experiment(kernel, plan, engine).run()
 }
 
 /// Governor-off runs must be bit-identical to plain policy runs — the
@@ -93,6 +99,12 @@ fn governor_off_is_bit_identical_to_plain_policy_runs() {
         batched.governor.as_ref().is_some_and(|g| g.epochs > 0),
         "the governed twin must actually run epochs to be probative"
     );
+    let line = format!(
+        "bfs {} {}\n",
+        fnv1a(batched.to_json().as_bytes()),
+        plan_experiment(Kernel::Bfs, plan, AccessEngine::Batched).config_hash()
+    );
+    assert_fixture_section(ORACLE, "governed", &line);
 }
 
 /// Same governed spec, run repeatedly → byte-identical reports. The

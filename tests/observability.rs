@@ -16,12 +16,15 @@ use graphmem_core::{
     RunReport,
 };
 use graphmem_graph::Dataset;
+use graphmem_integration_tests::{assert_fixture_section, fnv1a};
 use graphmem_os::{MemStateSample, MemStateSeries, RegionCounters, System, SystemSpec};
 use graphmem_physmem::Fragmenter;
 use graphmem_telemetry::json::JsonValue;
 use graphmem_telemetry::Histogram;
 use graphmem_workloads::Kernel;
 use proptest::prelude::*;
+
+const ORACLE: &str = include_str!("golden/oracle_digests.txt");
 
 fn tiny_scale(ds: Dataset) -> u8 {
     ds.default_scale() - 4
@@ -32,9 +35,10 @@ fn tiny_scale(ds: Dataset) -> u8 {
 /// to the unattributed run — under both the batched and legacy engines.
 #[test]
 fn attribution_never_perturbs_the_run_under_either_engine() {
+    let mut actual = String::new();
     for engine in [AccessEngine::Batched, AccessEngine::Legacy] {
         for kernel in [Kernel::Bfs, Kernel::Pagerank] {
-            let run = |attr: bool| -> RunReport {
+            let exp = |attr: bool| {
                 Experiment::builder(Dataset::Wiki, kernel)
                     .scale(tiny_scale(Dataset::Wiki))
                     .huge_order(4)
@@ -44,10 +48,17 @@ fn attribution_never_perturbs_the_run_under_either_engine() {
                     .build()
                     .expect("valid config")
                     .attribution(attr)
-                    .run()
             };
-            let plain = run(false);
-            let mut profiled = run(true);
+            let plain: RunReport = exp(false).run();
+            let mut profiled = exp(true).run();
+            if engine == AccessEngine::Batched {
+                actual += &format!(
+                    "{kernel} {} {} {}\n",
+                    fnv1a(plain.to_json().as_bytes()),
+                    fnv1a(profiled.to_json().as_bytes()),
+                    exp(false).config_hash()
+                );
+            }
             assert!(
                 profiled.attribution.is_some(),
                 "{kernel}/{engine:?}: profile attached"
@@ -60,6 +71,7 @@ fn attribution_never_perturbs_the_run_under_either_engine() {
             );
         }
     }
+    assert_fixture_section(ORACLE, "observe", &actual);
 }
 
 /// The paper's Fig. 4/5 claim, reproduced end-to-end: once the property
