@@ -4,7 +4,7 @@
 //! gather throughput.
 //!
 //! Writes `BENCH_fastpath.json` into the workspace root, recording the
-//! before/after pair against the batched-engine wall time committed in
+//! before/after pair against the pre-memoization wall time committed in
 //! `BENCH_hotpath.json` (28.63 s at `GRAPHMEM_SCALE=small` on the
 //! development host). `run_benches.sh` invokes this from the repo root;
 //! `--smoke` cuts the grid to one configuration for CI, and
@@ -15,13 +15,13 @@
 use std::time::Instant;
 
 use graphmem_bench::{all_configs, scale_for};
-use graphmem_core::{AccessEngine, Experiment, MemoryCondition, PagePolicy, Surplus};
+use graphmem_core::{Experiment, MemoryCondition, PagePolicy, Surplus};
 use graphmem_os::{System, SystemSpec};
 use graphmem_telemetry::json::JsonObject;
 
-/// Run the fig01 grid (4 runs per kernel × dataset config) on one engine;
-/// returns (wall seconds, simulated compute-phase accesses).
-fn fig01_grid(engine: AccessEngine, smoke: bool) -> (f64, u64) {
+/// Run the fig01 grid (4 runs per kernel × dataset config); returns
+/// (wall seconds, simulated compute-phase accesses).
+fn fig01_grid(smoke: bool) -> (f64, u64) {
     let pressure = MemoryCondition::pressured(Surplus::FractionOfWss(0.12));
     let configs = if smoke {
         all_configs().into_iter().take(1).collect()
@@ -33,7 +33,6 @@ fn fig01_grid(engine: AccessEngine, smoke: bool) -> (f64, u64) {
     for (kernel, dataset) in configs {
         let proto = Experiment::builder(dataset, kernel)
             .scale(scale_for(dataset))
-            .access_engine(engine)
             .build()
             .expect("valid config");
         for run in [
@@ -58,9 +57,8 @@ fn fig01_grid(engine: AccessEngine, smoke: bool) -> (f64, u64) {
 
 /// Raw sequential-stream throughput (accesses per host second): the
 /// page-run memo's best case, long same-page runs at stride 8.
-fn stream_rate(engine: AccessEngine, passes: u64) -> f64 {
+fn stream_rate(passes: u64) -> f64 {
     let mut sys = System::new(SystemSpec::scaled_demo());
-    sys.set_access_engine(engine);
     let base = sys.mmap(32 * 1024, "stream");
     sys.populate(base, 32 * 1024);
     let per_pass = 4096u64;
@@ -74,14 +72,12 @@ fn stream_rate(engine: AccessEngine, passes: u64) -> f64 {
 
 /// Gather throughput (accesses per host second): irregular indexed reads
 /// through the one-entry translation cursor, the memo's worst case.
-fn gather_rate(engine: AccessEngine, passes: u64) -> f64 {
+fn gather_rate(passes: u64) -> f64 {
     let mut sys = System::new(SystemSpec::scaled_demo());
-    sys.set_access_engine(engine);
     let region = 256 * 1024u64;
     let base = sys.mmap(region, "gather");
     sys.populate(base, region);
-    // Deterministic pseudo-random index stream (xorshift), regenerated
-    // identically for both engines.
+    // Deterministic pseudo-random index stream (xorshift).
     let mut indices = Vec::with_capacity(2048);
     let mut x = 0x9e3779b97f4a7c15u64;
     for _ in 0..2048 {
@@ -107,17 +103,13 @@ fn main() {
         if smoke { ", smoke" } else { "" }
     );
     let stream_passes = if smoke { 200 } else { 2000 };
-    let legacy_stream = stream_rate(AccessEngine::Legacy, stream_passes);
-    let fast_stream = stream_rate(AccessEngine::Batched, stream_passes);
-    let legacy_gather = gather_rate(AccessEngine::Legacy, stream_passes / 4);
-    let fast_gather = gather_rate(AccessEngine::Batched, stream_passes / 4);
-    println!("hit-stream legacy:   {legacy_stream:>12.0} accesses/s");
+    let fast_stream = stream_rate(stream_passes);
+    let fast_gather = gather_rate(stream_passes / 4);
     println!("hit-stream fastpath: {fast_stream:>12.0} accesses/s");
-    println!("gather legacy:       {legacy_gather:>12.0} accesses/s");
     println!("gather fastpath:     {fast_gather:>12.0} accesses/s");
 
-    let (fast_s, fast_acc) = fig01_grid(AccessEngine::Batched, smoke);
-    // Pre-optimization reference: the batched engine *before* page-run
+    let (fast_s, fast_acc) = fig01_grid(smoke);
+    // Pre-optimization reference: the access pipeline *before* page-run
     // memoization ran this grid in 28.63 s at `GRAPHMEM_SCALE=small` on the
     // development host (`fig01_wall_s_batched` in the committed
     // BENCH_hotpath.json). Override with `GRAPHMEM_BASELINE_WALL_S` when
@@ -132,7 +124,7 @@ fn main() {
     };
     let baseline_s = override_s.unwrap_or(28.628294743);
     let speedup = baseline_s / fast_s;
-    println!("fig01 grid before:   {baseline_s:>8.2} s  (batched, pre-memoization)");
+    println!("fig01 grid before:   {baseline_s:>8.2} s  (pre-memoization)");
     println!("fig01 grid fastpath: {fast_s:>8.2} s  ({speedup:.2}x vs pre-PR build)");
     println!(
         "fig01 grid fastpath: {:>12.0} simulated accesses/s",
@@ -149,9 +141,7 @@ fn main() {
     o.field_f64("fig01_speedup_vs_before_pr", speedup);
     o.field_u64("fig01_sim_accesses", fast_acc);
     o.field_f64("fig01_accesses_per_s_fastpath", fast_acc as f64 / fast_s);
-    o.field_f64("hit_stream_accesses_per_s_legacy", legacy_stream);
     o.field_f64("hit_stream_accesses_per_s_fastpath", fast_stream);
-    o.field_f64("gather_accesses_per_s_legacy", legacy_gather);
     o.field_f64("gather_accesses_per_s_fastpath", fast_gather);
     let json = o.finish();
     // `cargo bench` runs with cwd = crates/bench; anchor the report at the

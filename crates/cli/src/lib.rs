@@ -97,9 +97,6 @@ TELEMETRY (run only):
     --attribution                            per-array TLB/walk attribution profile
                                              (table in prose mode, \"attribution\" key
                                              in --json reports)
-    --engine <batched|legacy>                access engine [batched]; 'legacy' forces
-                                             the element-at-a-time oracle pipeline
-                                             (bit-identical reports, slower)
     --json                                   print the report as one JSON object
 
 EXIT CODES:

@@ -11,7 +11,7 @@ use graphmem_core::spec::{
     preprocess_from_token, surplus_from_token,
 };
 use graphmem_core::{
-    AccessEngine, FaultSpec, FsyncPolicy, IoFaultKind, MemoryCondition, RunSpec, Surplus, SweepKind,
+    FaultSpec, FsyncPolicy, IoFaultKind, MemoryCondition, RunSpec, Surplus, SweepKind,
 };
 
 /// A parsed command line.
@@ -52,11 +52,6 @@ pub struct ExecArgs {
     /// Enable the translation-attribution profiler (per-array TLB/walk
     /// accounting plus fragmentation/coverage series).
     pub attribution: bool,
-    /// Override the simulated access engine (`legacy` forces the
-    /// element-at-a-time oracle; default is the batched fast path). Both
-    /// engines produce bit-identical reports, so this is a local
-    /// execution choice, not part of the config's identity.
-    pub engine: Option<AccessEngine>,
     /// Print the report as one JSON object instead of prose.
     pub json: bool,
     /// Worker threads for `sweep` (defaults to the machine's parallelism).
@@ -311,17 +306,6 @@ fn exec_flag(exec: &mut ExecArgs, flag: &str, it: &mut ArgIter<'_>) -> Result<bo
         "--telemetry" => exec.telemetry = Some(next_value(it, flag)?.to_string()),
         "--series" => exec.series = Some(next_value(it, flag)?.to_string()),
         "--attribution" => exec.attribution = true,
-        "--engine" => {
-            exec.engine = Some(match next_value(it, flag)? {
-                "batched" => AccessEngine::Batched,
-                "legacy" => AccessEngine::Legacy,
-                other => {
-                    return err(format!(
-                        "--engine must be 'batched' or 'legacy', got '{other}'"
-                    ))
-                }
-            });
-        }
         "--json" => exec.json = true,
         "--threads" => {
             let n: usize = next_value(it, flag)?
@@ -642,28 +626,6 @@ mod tests {
         assert!(parse(&args("run --sample-interval 0")).is_err());
         assert!(parse(&args("run --sample-interval many")).is_err());
         assert!(parse(&args("run --telemetry")).is_err());
-    }
-
-    #[test]
-    fn engine_flag() {
-        let Command::Run(r) = parse(&args("run")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.exec.engine, None, "engine defaults to the spec's choice");
-        let Command::Run(r) = parse(&args("run --engine legacy")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.exec.engine, Some(AccessEngine::Legacy));
-        let Command::Run(r) = parse(&args("run --engine batched")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.exec.engine, Some(AccessEngine::Batched));
-        let msg = parse(&args("run --engine turbo")).unwrap_err().0;
-        assert!(
-            msg.contains("batched"),
-            "error names the valid values: {msg}"
-        );
-        assert!(parse(&args("run --engine")).is_err());
     }
 
     #[test]

@@ -73,9 +73,6 @@ fn run_cmd(args: &RunArgs) -> u8 {
     if args.exec.attribution {
         experiment = experiment.attribution(true);
     }
-    if let Some(engine) = args.exec.engine {
-        experiment = experiment.access_engine(engine);
-    }
     let report = match experiment.try_run() {
         Ok(r) => r,
         Err(e) => {

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use graphmem_graph::{reorder, Csr, Dataset};
-use graphmem_os::{AccessEngine, FilePlacement, GovernorConfig, System, SystemSpec, ThpMode};
+use graphmem_os::{FilePlacement, GovernorConfig, System, SystemSpec, ThpMode};
 use graphmem_telemetry::Tracer;
 use graphmem_workloads::{default_root, AllocOrder, GraphArrays, Kernel};
 
@@ -41,7 +41,6 @@ pub struct Experiment {
     seed_offset: u64,
     telemetry: Tracer,
     sample_interval: Option<u64>,
-    engine: AccessEngine,
     attribution: bool,
 }
 
@@ -78,7 +77,6 @@ impl Experiment {
             seed_offset: 0,
             telemetry: Tracer::disabled(),
             sample_interval: None,
-            engine: AccessEngine::default(),
             attribution: false,
         }
     }
@@ -171,37 +169,6 @@ impl Experiment {
         self
     }
 
-    /// Ablation knob: enable/disable the khugepaged background daemon.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set khugepaged_enabled through plan(PageSizePlan { .. })"
-    )]
-    pub fn khugepaged_enabled(mut self, enabled: bool) -> Self {
-        self.khugepaged_enabled = Some(enabled);
-        self
-    }
-
-    /// Ablation knob: khugepaged scan interval in simulated cycles.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set khugepaged_interval through plan(PageSizePlan { .. })"
-    )]
-    pub fn khugepaged_interval(mut self, cycles: u64) -> Self {
-        self.khugepaged_interval = Some(cycles);
-        self
-    }
-
-    /// Ablation knob: fault-time direct-compaction budget in pageblocks
-    /// (0 disables fault-time defrag entirely).
-    #[deprecated(
-        since = "0.6.0",
-        note = "set defrag_scan_blocks through plan(PageSizePlan { .. })"
-    )]
-    pub fn defrag_scan_blocks(mut self, blocks: usize) -> Self {
-        self.defrag_scan_blocks = Some(blocks);
-        self
-    }
-
     /// Ablation knob: override the unified STLB entry count (e.g. a
     /// Broadwell-like 1536/8 = 192 scaled entries; paper §3.1 reports the
     /// same trends on newer parts).
@@ -227,15 +194,6 @@ impl Experiment {
     /// `run` panics if `interval` is zero.
     pub fn sample_interval(mut self, interval: u64) -> Self {
         self.sample_interval = Some(interval);
-        self
-    }
-
-    /// Select the [`AccessEngine`] driving the simulated access pipeline
-    /// (default [`AccessEngine::Batched`]). Both engines produce
-    /// bit-identical reports; `Legacy` exists as the reference side of the
-    /// differential cycle-exactness harness.
-    pub fn access_engine(mut self, engine: AccessEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -312,7 +270,9 @@ impl Experiment {
     /// pre-governor config keeps its manifest identity.
     pub fn config_key(&self) -> String {
         let mut key = format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
+            // The trailing token named a second access pipeline, since
+            // removed; it stays so every config keeps its hash.
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|Batched",
             self.dataset,
             self.kernel,
             self.scale,
@@ -329,7 +289,6 @@ impl Experiment {
             self.stlb_entries,
             self.seed_offset,
             self.sample_interval,
-            self.engine,
         );
         if let Some(g) = &self.governor {
             key.push_str(&format!("|gov={g}"));
@@ -374,8 +333,7 @@ impl Experiment {
             ));
         }
         // The whole page-size surface validates through the plan — one
-        // path whether the knobs arrived via plan(), policy(), or the
-        // deprecated individual setters.
+        // path whether the knobs arrived via plan() or policy().
         self.page_size_plan().validate()?;
         // Only the kernel-dependent combination check lives outside it.
         if matches!(self.policy, PagePolicy::PerArray { values: true, .. })
@@ -477,7 +435,6 @@ impl Experiment {
             | PagePolicy::AutoSelective { .. } => ThpMode::Madvise,
         };
         let mut sys = System::new(spec);
-        sys.set_access_engine(self.engine);
         if self.telemetry.is_enabled() {
             sys.attach_telemetry(self.telemetry.clone());
         }
@@ -742,36 +699,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Ablation knob: enable/disable the khugepaged background daemon.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set khugepaged_enabled through plan(PageSizePlan { .. })"
-    )]
-    pub fn khugepaged_enabled(mut self, enabled: bool) -> Self {
-        self.exp.khugepaged_enabled = Some(enabled);
-        self
-    }
-
-    /// Ablation knob: khugepaged scan interval in simulated cycles.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set khugepaged_interval through plan(PageSizePlan { .. })"
-    )]
-    pub fn khugepaged_interval(mut self, cycles: u64) -> Self {
-        self.exp.khugepaged_interval = Some(cycles);
-        self
-    }
-
-    /// Ablation knob: fault-time direct-compaction budget in pageblocks.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set defrag_scan_blocks through plan(PageSizePlan { .. })"
-    )]
-    pub fn defrag_scan_blocks(mut self, blocks: usize) -> Self {
-        self.exp.defrag_scan_blocks = Some(blocks);
-        self
-    }
-
     /// Ablation knob: override the unified STLB entry count.
     pub fn stlb_entries(mut self, entries: u32) -> Self {
         self.exp = self.exp.stlb_entries(entries);
@@ -787,12 +714,6 @@ impl ExperimentBuilder {
     /// Sample epoch metrics every `interval` simulated cycles.
     pub fn sample_interval(mut self, interval: u64) -> Self {
         self.exp = self.exp.sample_interval(interval);
-        self
-    }
-
-    /// Select the [`AccessEngine`] driving the access pipeline.
-    pub fn access_engine(mut self, engine: AccessEngine) -> Self {
-        self.exp = self.exp.access_engine(engine);
         self
     }
 
@@ -887,21 +808,6 @@ mod tests {
             .build()
             .expect("valid plan");
         assert_eq!(exp.page_size_plan(), plan);
-        // The deprecated individual setters produce the same experiment.
-        #[allow(deprecated)]
-        let legacy = Experiment::builder(Dataset::Wiki, Kernel::Bfs)
-            .scale(11)
-            .policy(PagePolicy::ThpSystemWide)
-            .khugepaged_enabled(false)
-            .khugepaged_interval(123_456)
-            .defrag_scan_blocks(3)
-            .build()
-            .expect("valid");
-        let grafted = PageSizePlan {
-            governor: plan.governor,
-            ..legacy.page_size_plan()
-        };
-        assert_eq!(legacy.plan(grafted).config_hash(), exp.config_hash());
     }
 
     #[test]

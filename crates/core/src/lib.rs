@@ -79,7 +79,7 @@ pub use durable::{DurableAppender, FsyncPolicy, IoFaultKind, IoFaultPlan};
 pub use error::GraphmemError;
 pub use experiment::{Experiment, ExperimentBuilder};
 pub use graphcache::PreparedGraphCache;
-pub use graphmem_os::{AccessEngine, GovernorConfig};
+pub use graphmem_os::GovernorConfig;
 pub use plan::PageSizePlan;
 pub use policy::{PagePolicy, Preprocessing};
 pub use report::{GovernorReport, RunReport};
@@ -104,6 +104,6 @@ pub mod prelude {
     pub use crate::report::{GovernorReport, RunReport};
     pub use crate::spec::{RunSpec, SweepKind};
     pub use graphmem_graph::Dataset;
-    pub use graphmem_os::{AccessEngine, FilePlacement, GovernorConfig};
+    pub use graphmem_os::{FilePlacement, GovernorConfig};
     pub use graphmem_workloads::{AllocOrder, Kernel};
 }

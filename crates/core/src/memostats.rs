@@ -25,7 +25,7 @@ pub fn record(hits: u64, misses: u64) {
 
 /// `(hits, misses)` accumulated by every run in this process so far:
 /// elements bulk-charged via a remembered translation vs. real MMU probes
-/// on the fast path. Runs on the legacy engine contribute zeros.
+/// on the fast path.
 pub fn snapshot() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }

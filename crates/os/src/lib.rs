@@ -64,7 +64,7 @@ pub use governor::{GovernorConfig, GovernorEpochSample, GovernorStats};
 pub use pagecache::PageCache;
 pub use stats::OsStats;
 pub use swapdev::SwapDevice;
-pub use system::{AccessEngine, MappingReport, System};
+pub use system::{MappingReport, System};
 pub use vma::{AddressSpace, Vma, VmaId};
 
 // Re-export the address-space vocabulary callers need to talk to a

@@ -62,23 +62,6 @@ pub struct Checkpoint {
     pub os: OsStats,
 }
 
-/// Which per-access pipeline [`System`] drives.
-///
-/// Both engines produce bit-identical simulated state — clocks, perf
-/// counters, OS stats, TLB/cache contents. [`AccessEngine::Batched`] (the
-/// default) is the event-horizon-scheduled hot path; [`AccessEngine::Legacy`]
-/// preserves the original per-access pipeline (unconditional daemon checks
-/// and telemetry clock stamps on every access) as the reference
-/// implementation for the differential cycle-exactness harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccessEngine {
-    /// Original scalar pipeline: every access checks every daemon.
-    Legacy,
-    /// Watermark-scheduled pipeline: one compare on the common path.
-    #[default]
-    Batched,
-}
-
 /// Background promotion daemon bookkeeping.
 #[derive(Debug, Default)]
 pub(crate) struct KhugepagedState {
@@ -126,10 +109,6 @@ pub struct System {
     pub(crate) telemetry: Tracer,
     /// Epoch metrics sampler (see [`System::enable_sampling`]).
     pub(crate) sampler: Option<EpochSampler>,
-    /// Boot-time-reserved hugetlbfs pool (paper §2.3's explicit huge
-    /// pages): guaranteed huge frames, immune to later fragmentation.
-    /// Which access pipeline drives [`System::read`]/[`System::write`].
-    pub(crate) engine: AccessEngine,
     /// Event horizon: the earliest cycle at which any scheduled event
     /// (khugepaged scan, bloat-daemon scan, sample epoch) becomes due, or
     /// `u64::MAX` when all are off. Invariant: never later than the true
@@ -137,8 +116,8 @@ pub struct System {
     /// due. Recomputed by [`System::recompute_event_horizon`] whenever a
     /// daemon runs, a sample is recorded, or an interval/toggle changes.
     pub(crate) next_event_cycle: u64,
-    /// Cached `telemetry.is_enabled()` so the hot path can skip the
-    /// per-access `set_clock` stamps entirely when no tracer is attached.
+    /// Cached `telemetry.is_enabled()` so the probe path can skip the
+    /// `set_clock` stamps entirely when no tracer is attached.
     pub(crate) telemetry_on: bool,
     /// Whether per-region attribution is on (see
     /// [`System::enable_attribution`]). Mirrors the MMU's table so the
@@ -163,7 +142,7 @@ pub struct System {
     /// accesses so consecutive touches of one page — a vertex's edge
     /// segment, then the next vertex's — skip the re-probe. Cleared
     /// whenever TLBs or the page table may change (due events, fault
-    /// handling, unmapping syscalls, engine/telemetry switches).
+    /// handling, unmapping syscalls, telemetry and attribution switches).
     pub(crate) run_memo: Option<TranslationMemo>,
     /// Cached extent of `run_memo`'s mapping page, as `page start` and
     /// `page bytes` (`u64::MAX`/`0` when no memo), so the cursor-hit test
@@ -171,6 +150,8 @@ pub struct System {
     /// span 2 MB-class, which is where THP runs earn their keep.
     pub(crate) memo_lo: u64,
     pub(crate) memo_span: u64,
+    /// Boot-time-reserved hugetlbfs pool (paper §2.3's explicit huge
+    /// pages): guaranteed huge frames, immune to later fragmentation.
     pub(crate) hugetlb_pool: Vec<FrameRange>,
     /// Pgtable deposits: leaf-table frames reserved per huge mapping
     /// (keyed by the region's base VPN) so a later split never has to
@@ -231,7 +212,6 @@ impl System {
             tracer: None,
             telemetry: Tracer::disabled(),
             sampler: None,
-            engine: AccessEngine::default(),
             next_event_cycle: 0,
             telemetry_on: false,
             attribution_on: false,
@@ -391,32 +371,10 @@ impl System {
         if let Some(t) = &mut self.tracer {
             t.push(addr, is_write);
         }
-        match self.engine {
-            AccessEngine::Legacy => {
-                if self.attribution_on {
-                    self.note_region(addr);
-                }
-                self.access_legacy_engine(addr, is_write);
-            }
-            AccessEngine::Batched => {
-                if self.telemetry_on {
-                    if self.attribution_on {
-                        self.note_region(addr);
-                    }
-                    self.access_stamped(addr, is_write);
-                } else {
-                    // Scalar accesses ride (and refresh) the translation
-                    // cursor too: a get/set interleaved with batch calls
-                    // neither loses the memo nor needs a re-probe when it
-                    // lands on the memo's page. `access_cursor` does its
-                    // own region tagging on the probe path.
-                    self.access_cursor(addr, is_write);
-                }
-            }
-        }
+        self.access_cursor(addr, is_write);
     }
 
-    /// Batched-engine hot path, telemetry off: one access through the
+    /// The per-access pipeline: one access through the
     /// persistent translation cursor. A cursor hit — the address lands on
     /// the mapping page of the last probed access — bulk-charges the
     /// element as a proven L1 TLB hit (no TLB probe, no region re-tag); a
@@ -475,17 +433,25 @@ impl System {
         self.memo_span = 0;
     }
 
-    /// [`Self::access_hot`] for the page-run fast path: identical simulated
-    /// behaviour, but returns the [`TranslationMemo`] of the successful
+    /// One probed access, retried through fault service, with the event
+    /// check after it. Returns the [`TranslationMemo`] of the successful
     /// access so the caller can bulk-charge follow-up same-page elements.
     ///
     /// Returns `None` when due events ran after the access — daemons can
     /// flush TLBs, so the memo must be discarded and the next element
     /// re-probed. A fault does not invalidate the eventual memo: the
     /// successful retry is itself a fresh proof of residency.
+    ///
+    /// With telemetry attached, the tracer clock is stamped before each
+    /// probe attempt: the MMU emits its events (fills, walks) only while
+    /// probing, and fault service stamps its own kernel charges, so bulk
+    /// hit charges between probes need no stamps.
     #[inline]
     fn access_probed_hot(&mut self, addr: VirtAddr, is_write: bool) -> Option<TranslationMemo> {
         for _attempt in 0..4 {
+            if self.telemetry_on {
+                self.telemetry.set_clock(self.clock);
+            }
             match self.mmu.access_probed(&self.pt, addr, is_write) {
                 Ok((cost, memo)) => {
                     self.clock += cost.cycles;
@@ -505,66 +471,22 @@ impl System {
         panic!("access to {addr} still faulting after fault handling");
     }
 
-    /// Batched engine with a tracer attached: same watermark scheduling,
-    /// plus the pre/post clock stamps telemetry consumers rely on.
-    fn access_stamped(&mut self, addr: VirtAddr, is_write: bool) {
-        for _attempt in 0..4 {
-            self.telemetry.set_clock(self.clock);
-            match self.mmu.access(&self.pt, addr, is_write) {
-                Ok(cost) => {
-                    self.clock += cost.cycles;
-                    self.telemetry.set_clock(self.clock);
-                    if self.clock >= self.next_event_cycle {
-                        self.run_due_events();
-                    }
-                    return;
-                }
-                Err(fault) => {
-                    self.clock += fault.cycles;
-                    self.telemetry.set_clock(self.clock);
-                    self.handle_fault(fault);
-                    self.maybe_sample();
-                }
-            }
-        }
-        panic!("access to {addr} still faulting after fault handling");
-    }
-
-    /// The original per-access pipeline, preserved verbatim (unconditional
-    /// daemon checks and clock stamps, through [`MemorySystem::access_legacy`])
-    /// as the reference side of the differential cycle-exactness harness.
-    fn access_legacy_engine(&mut self, addr: VirtAddr, is_write: bool) {
-        for _attempt in 0..4 {
-            self.telemetry.set_clock(self.clock);
-            match self.mmu.access_legacy(&self.pt, addr, is_write) {
-                Ok(cost) => {
-                    self.clock += cost.cycles;
-                    self.telemetry.set_clock(self.clock);
-                    self.maybe_khugepaged();
-                    self.maybe_kbloatd();
-                    self.maybe_governor();
-                    self.maybe_sample();
-                    return;
-                }
-                Err(fault) => {
-                    self.clock += fault.cycles;
-                    self.telemetry.set_clock(self.clock);
-                    self.handle_fault(fault);
-                    self.maybe_sample();
-                }
-            }
-        }
-        panic!("access to {addr} still faulting after fault handling");
-    }
-
     /// Run every scheduled event that has become due, then refresh the
     /// watermark. Cold: on the hot path this is reached only when the
-    /// watermark compare fires. The checks run in the same order the
-    /// legacy pipeline uses, and each re-reads the clock, so cascades
-    /// (a daemon's kernel cycles pushing the clock past a sample boundary)
-    /// resolve identically.
+    /// watermark compare fires. The checks run in a fixed order
+    /// (khugepaged, utilization demotion, governor, sampler) and each
+    /// re-reads the clock, so cascades (a daemon's kernel cycles pushing
+    /// the clock past a sample boundary) resolve in one call.
+    ///
+    /// Public only for the reference stepper in the integration tests,
+    /// which polls every daemon before every access: calling this clears
+    /// the translation cursor, so the next access is a real probe.
+    #[doc(hidden)]
     #[cold]
-    fn run_due_events(&mut self) {
+    pub fn run_due_events(&mut self) {
+        if self.telemetry_on {
+            self.telemetry.set_clock(self.clock);
+        }
         // Daemons can promote, demote, migrate, and flush TLBs: the
         // translation cursor is no longer proof of residency.
         self.clear_run_memo();
@@ -597,21 +519,6 @@ impl System {
         self.next_event_cycle = next;
     }
 
-    /// Select the access pipeline (default [`AccessEngine::Batched`]).
-    /// Switching is safe at any point: both engines advance the identical
-    /// simulated state.
-    pub fn set_access_engine(&mut self, engine: AccessEngine) {
-        self.engine = engine;
-        // The legacy pipeline fills TLBs without maintaining the cursor.
-        self.clear_run_memo();
-        self.recompute_event_horizon();
-    }
-
-    /// The access pipeline currently driving this system.
-    pub fn access_engine(&self) -> AccessEngine {
-        self.engine
-    }
-
     /// Simulated strided run: `count` accesses of one VMA-resident stream
     /// starting at `base`, `stride` bytes apart. Semantically identical to
     /// calling [`System::read`]/[`System::write`] per element — same
@@ -624,11 +531,10 @@ impl System {
     /// would under scalar stepping, and the memo is discarded whenever
     /// events run (they may flush TLBs).
     pub fn access_run(&mut self, base: VirtAddr, stride: u64, count: u64, is_write: bool) {
-        if self.engine == AccessEngine::Legacy || self.telemetry_on || self.tracer.is_some() {
+        if let Some(t) = &mut self.tracer {
             for i in 0..count {
-                self.access(base.add(i * stride), is_write);
+                t.push(base.add(i * stride), is_write);
             }
-            return;
         }
         let mut i = 0u64;
         while i < count {
@@ -708,11 +614,10 @@ impl System {
         indices: &[u32],
         is_write: bool,
     ) {
-        if self.engine == AccessEngine::Legacy || self.telemetry_on || self.tracer.is_some() {
+        if let Some(t) = &mut self.tracer {
             for &i in indices {
-                self.access(base.add(u64::from(i) * elem_bytes), is_write);
+                t.push(base.add(u64::from(i) * elem_bytes), is_write);
             }
-            return;
         }
         for &i in indices {
             self.access_cursor(base.add(u64::from(i) * elem_bytes), is_write);
@@ -724,13 +629,12 @@ impl System {
     /// PageRank's push phase). The store always lands on the load's page,
     /// so it rides the cursor the load just refreshed.
     pub fn access_gather_rmw(&mut self, base: VirtAddr, elem_bytes: u64, indices: &[u32]) {
-        if self.engine == AccessEngine::Legacy || self.telemetry_on || self.tracer.is_some() {
+        if let Some(t) = &mut self.tracer {
             for &i in indices {
                 let addr = base.add(u64::from(i) * elem_bytes);
-                self.access(addr, false);
-                self.access(addr, true);
+                t.push(addr, false);
+                t.push(addr, true);
             }
-            return;
         }
         for &i in indices {
             let addr = base.add(u64::from(i) * elem_bytes);
@@ -877,9 +781,9 @@ impl System {
     /// is recorded alongside the metrics series.
     ///
     /// Pure observation: simulated clocks, counters, and TLB/cache state
-    /// advance identically whether or not attribution is on (the batch
-    /// APIs fall to the scalar tagging path, which drives the same
-    /// per-element pipeline).
+    /// advance identically whether or not attribution is on. Regions are
+    /// tagged once per probe; the elements bulk-charged on a probed page
+    /// share its VMA.
     pub fn enable_attribution(&mut self, on: bool) {
         self.attribution_on = on;
         self.attr_region_cache = None;

@@ -231,10 +231,9 @@ impl MemorySystem {
     ///
     /// The base-page L1 TLB hit (the 75–95 % common case on graph kernels)
     /// resolves with one VPN computation and one TLB probe before falling
-    /// through to the full translation pipeline. The probe order matches
-    /// [`Self::access_legacy`] exactly — the base DTLB is always consulted
-    /// first and short-circuits on a hit — so every TLB and cache recency
-    /// update, counter, and cycle charge is bit-identical between the two.
+    /// through to the full translation pipeline: the base DTLB is always
+    /// consulted first and short-circuits on a hit, then the huge DTLB,
+    /// the STLB, and the hardware walk.
     ///
     /// # Errors
     ///
@@ -562,125 +561,6 @@ impl MemorySystem {
         }
     }
 
-    /// The pre-fast-path access pipeline, preserved verbatim as the
-    /// reference implementation for the differential cycle-exactness
-    /// harness. Must stay behaviourally identical to [`Self::access`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fault`] when no present translation covers `vaddr`.
-    pub fn access_legacy(
-        &mut self,
-        pt: &PageTable,
-        vaddr: VirtAddr,
-        is_write: bool,
-    ) -> Result<AccessCost, Fault> {
-        self.counters.accesses += 1;
-        if is_write {
-            self.counters.writes += 1;
-        } else {
-            self.counters.reads += 1;
-        }
-
-        let mut cycles = 0u64;
-        let mut walked = false;
-
-        let entry = if let Some(e) = self.lookup_l1(vaddr) {
-            e
-        } else {
-            self.counters.dtlb_misses += 1;
-            if let Some(e) = self.lookup_stlb(vaddr) {
-                self.counters.stlb_hits += 1;
-                let penalty = self.cfg.cost.stlb_hit_penalty;
-                cycles += penalty;
-                self.counters.translation_cycles += penalty;
-                if let Some(attr) = &mut self.attribution {
-                    let c = attr.cur();
-                    let i = size_idx(e.size);
-                    c.dtlb_misses[i] += 1;
-                    c.stlb_hits[i] += 1;
-                    c.translation_cycles[i] += penalty;
-                }
-                self.fill_l1(e);
-                e
-            } else {
-                self.counters.stlb_misses += 1;
-                walked = true;
-                match self.walk(pt, vaddr) {
-                    Ok((e, walk_cycles)) => {
-                        cycles += walk_cycles;
-                        if let Some(attr) = &mut self.attribution {
-                            let c = attr.cur();
-                            let i = size_idx(e.size);
-                            c.dtlb_misses[i] += 1;
-                            c.stlb_misses[i] += 1;
-                        }
-                        self.fill_l1(e);
-                        self.fill_stlb(e);
-                        e
-                    }
-                    Err((kind, walk_cycles)) => {
-                        self.counters.faults += 1;
-                        if let Some(attr) = &mut self.attribution {
-                            let c = attr.cur();
-                            // Mirrors `access_slow`: a size-unknown fault is
-                            // charged to the base column.
-                            c.accesses[0] += 1;
-                            c.dtlb_misses[0] += 1;
-                            c.stlb_misses[0] += 1;
-                            c.faults += 1;
-                        }
-                        return Err(Fault {
-                            vaddr,
-                            kind,
-                            cycles: cycles + walk_cycles,
-                        });
-                    }
-                }
-            }
-        };
-
-        if let Some(attr) = &mut self.attribution {
-            attr.cur().accesses[size_idx(entry.size)] += 1;
-        }
-        if self.utilization.is_some() && entry.size == PageSize::Huge {
-            let frames = self.geom.frames(PageSize::Huge) as usize;
-            let sub = (vaddr.vpn() % frames as u64) as usize;
-            if let Some(map) = &mut self.utilization {
-                map.entry(entry.vpn).or_insert_with(|| vec![false; frames])[sub] = true;
-            }
-        }
-
-        // Data access through the cache hierarchy at the physical address.
-        let paddr = self.global_paddr(entry, vaddr);
-        let level = self.caches.access(paddr);
-        let remote = entry.node != self.cfg.local_node;
-        let data_cycles = self.cfg.cost.level_cycles(level, remote);
-        cycles += data_cycles;
-        self.counters.data_cycles += data_cycles;
-        self.counters.data_level_hits[match level {
-            CacheLevel::L1 => 0,
-            CacheLevel::L2 => 1,
-            CacheLevel::L3 => 2,
-            CacheLevel::Memory => 3,
-        }] += 1;
-
-        Ok(AccessCost {
-            cycles,
-            level,
-            walked,
-        })
-    }
-
-    fn lookup_l1(&mut self, vaddr: VirtAddr) -> Option<TlbEntry> {
-        let base_vpn = self.geom.page_number(vaddr, PageSize::Base);
-        if let Some(e) = self.dtlb_base.lookup(base_vpn, PageSize::Base) {
-            return Some(e);
-        }
-        let huge_vpn = self.geom.page_number(vaddr, PageSize::Huge);
-        self.dtlb_huge.lookup(huge_vpn, PageSize::Huge)
-    }
-
     fn lookup_stlb(&mut self, vaddr: VirtAddr) -> Option<TlbEntry> {
         let base_vpn = self.geom.page_number(vaddr, PageSize::Base);
         if let Some(e) = self.stlb.lookup(base_vpn, PageSize::Base) {
@@ -899,39 +779,6 @@ mod tests {
         assert_eq!(c.stlb_misses, 1);
         assert_eq!(c.reads, 1);
         assert_eq!(c.writes, 1);
-    }
-
-    /// The inlined fast path and the preserved legacy pipeline must agree
-    /// access-by-access — costs, faults, and counters — including across a
-    /// mid-stream `reset_counters`, which must not disturb TLB/cache state
-    /// on either side.
-    #[test]
-    fn fast_path_matches_legacy_across_counter_reset() {
-        let mut fast = rig(9);
-        let mut legacy = rig(9);
-        for page in 0..96u64 {
-            map_base(&mut fast, page * 0x1000);
-            map_base(&mut legacy, page * 0x1000);
-        }
-        // Mix of L1 hits, DTLB-overflow re-walks, strided revisits, and a
-        // fault on an unmapped page; deterministic "pseudo-random" stream.
-        let addrs: Vec<u64> = (0..600u64)
-            .map(|i| (i * 37 % 97) * 0x1000 + (i * 64) % 0x1000)
-            .collect();
-        for (step, &a) in addrs.iter().enumerate() {
-            if step == 300 {
-                fast.mmu.reset_counters();
-                legacy.mmu.reset_counters();
-            }
-            let is_write = step % 3 == 0;
-            let rf = fast.mmu.access(&fast.pt, VirtAddr(a), is_write);
-            let rl = legacy.mmu.access_legacy(&legacy.pt, VirtAddr(a), is_write);
-            assert_eq!(rf, rl, "divergence at step {step}, addr {a:#x}");
-            assert_eq!(fast.mmu.counters(), legacy.mmu.counters(), "step {step}");
-        }
-        assert!(fast.mmu.counters().accesses > 0);
-        assert!(fast.mmu.counters().faults > 0, "stream should fault");
-        assert_eq!(fast.mmu.cache_stats(), legacy.mmu.cache_stats());
     }
 
     #[test]

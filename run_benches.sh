@@ -7,9 +7,6 @@ cd /root/repo
   echo "== graphmem full benchmark run (GRAPHMEM_SCALE=paper default) =="
   date
   cargo bench --workspace 2>&1
-  echo "== hot-path engine headline -> BENCH_hotpath.json =="
-  GRAPHMEM_SCALE="${GRAPHMEM_HOTPATH_SCALE:-small}" \
-    cargo bench -p graphmem-bench --bench bench_hotpath 2>&1
   echo "== page-run fast-path headline -> BENCH_fastpath.json =="
   GRAPHMEM_SCALE="${GRAPHMEM_HOTPATH_SCALE:-small}" \
     cargo bench -p graphmem-bench --bench bench_fastpath 2>&1

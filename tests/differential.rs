@@ -1,16 +1,21 @@
-//! Differential cycle-exactness harness for the hot-path access engine.
+//! Differential cycle-exactness harness for the access pipeline.
 //!
-//! The batched/fast-path pipeline ([`AccessEngine::Batched`]: event-horizon
-//! scheduling in `System`, the inlined base-page fast path in the MMU, and
-//! the `access_run`/gather batch APIs) must be *bit-identical* in simulated
-//! outcome to the preserved legacy scalar pipeline
-//! ([`AccessEngine::Legacy`]). These tests run real kernels and randomized
-//! access streams through both and compare every observable field.
+//! The batch APIs (`access_run`, `access_gather`, `access_gather_rmw`)
+//! bulk-charge same-page elements through a persistent translation cursor
+//! and poll daemons only when the event horizon fires. They must be
+//! *bit-identical* in simulated outcome to the naive reference stepper
+//! below, which polls every daemon before every element and then issues
+//! one scalar access. Randomized access streams run through both here.
+//!
+//! Whole-kernel runs are pinned by digest instead: their reports were
+//! recorded in `golden/oracle_digests.txt` while a second, element-at-a-time
+//! pipeline still checked them field by field.
 
-use graphmem_core::{AccessEngine, Experiment, PagePolicy, RunReport};
+use graphmem_core::{Experiment, PagePolicy, RunReport};
 use graphmem_graph::Dataset;
 use graphmem_integration_tests::{assert_fixture_section, debug_digest, fnv1a};
 use graphmem_os::{System, SystemSpec, ThpMode, VirtAddr};
+use graphmem_telemetry::{EventKind, EventMask, TraceConfig, Tracer};
 use graphmem_workloads::{AllocOrder, GraphArrays, Kernel};
 use proptest::prelude::*;
 
@@ -25,150 +30,111 @@ fn cell(name: &str, report: &RunReport, exp: &Experiment) -> String {
     )
 }
 
+/// The reference stepper: poll every daemon and the sampler, then one
+/// scalar access. Polling clears the translation cursor, so every step
+/// is a real MMU probe. Call [`finish`] after the last step.
+fn step(sys: &mut System, addr: VirtAddr, is_write: bool) {
+    sys.run_due_events();
+    if is_write {
+        sys.write(addr);
+    } else {
+        sys.read(addr);
+    }
+}
+
+/// The stepper's closing poll: events made due by the last access.
+fn finish(sys: &mut System) {
+    sys.run_due_events();
+}
+
 /// `GRAPHMEM_SCALE=tiny` equivalent: the graphmem-bench scale ladder maps
 /// "tiny" to four scale steps below the dataset preset.
 fn tiny_scale(ds: Dataset) -> u8 {
     ds.default_scale() - 4
 }
 
-fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.labels, b.labels, "{what}: labels");
-    assert_eq!(
-        a.preprocess_cycles, b.preprocess_cycles,
-        "{what}: preprocess cycles"
-    );
-    assert_eq!(a.init_cycles, b.init_cycles, "{what}: init cycles");
-    assert_eq!(a.compute_cycles, b.compute_cycles, "{what}: compute cycles");
-    assert_eq!(a.perf, b.perf, "{what}: perf counters");
-    assert_eq!(a.os, b.os, "{what}: OS stats");
-    assert_eq!(a.footprint_bytes, b.footprint_bytes, "{what}: footprint");
-    assert_eq!(a.property_bytes, b.property_bytes, "{what}: property bytes");
-    assert_eq!(
-        a.property_huge_bytes, b.property_huge_bytes,
-        "{what}: property huge bytes"
-    );
-    assert_eq!(
-        a.total_huge_bytes, b.total_huge_bytes,
-        "{what}: total huge bytes"
-    );
-    assert_eq!(a.verified, b.verified, "{what}: verified");
-    assert_eq!(a.series, b.series, "{what}: metrics series");
-    // Belt and braces: the full serialized report.
-    assert_eq!(a.to_json(), b.to_json(), "{what}: serialized report");
-}
-
-fn experiment(ds: Dataset, kernel: Kernel, engine: AccessEngine) -> Experiment {
-    Experiment::builder(ds, kernel)
-        .scale(tiny_scale(ds))
-        .huge_order(4)
-        .policy(PagePolicy::ThpSystemWide)
-        .access_engine(engine)
-        .build()
-        .expect("valid config")
-}
-
-fn run_engine(ds: Dataset, kernel: Kernel, engine: AccessEngine) -> RunReport {
-    experiment(ds, kernel, engine).run()
-}
-
-/// All four kernels on all four dataset presets: batched/fast-path reports
-/// must match the legacy scalar pipeline field-by-field.
+/// All four kernels on all four dataset presets: every report, and the
+/// config hash of its spec, match the pinned oracle verdict.
 #[test]
 fn all_kernels_all_datasets_bit_identical() {
     let mut actual = String::new();
     for ds in Dataset::ALL {
         for kernel in Kernel::EXTENDED {
-            let legacy = run_engine(ds, kernel, AccessEngine::Legacy);
-            let batched = run_engine(ds, kernel, AccessEngine::Batched);
-            assert_reports_identical(&legacy, &batched, &format!("{kernel} on {}", ds.name()));
-            let exp = experiment(ds, kernel, AccessEngine::Batched);
-            actual += &cell(&format!("{}/{kernel}", ds.name()), &batched, &exp);
+            let exp = Experiment::builder(ds, kernel)
+                .scale(tiny_scale(ds))
+                .huge_order(4)
+                .policy(PagePolicy::ThpSystemWide)
+                .build()
+                .expect("valid config");
+            actual += &cell(&format!("{}/{kernel}", ds.name()), &exp.run(), &exp);
         }
     }
     assert_fixture_section(ORACLE, "datasets", &actual);
 }
 
-/// Epoch sampling interacts with the event-horizon watermark: a sampled run
-/// must produce the identical series under both engines (same sample
-/// cycles, same counter snapshots).
+/// Epoch sampling interacts with the event-horizon watermark: a sampled
+/// run's report, series included (sample cycles, counter snapshots),
+/// matches the pinned oracle verdict.
 #[test]
 fn sampled_series_bit_identical() {
-    let exp = |engine| {
-        Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
-            .scale(tiny_scale(Dataset::Wiki))
-            .huge_order(4)
-            .policy(PagePolicy::ThpSystemWide)
-            .sample_interval(200_000)
-            .access_engine(engine)
-            .build()
-            .expect("valid config")
-    };
-    let legacy = exp(AccessEngine::Legacy).run();
-    let batched = exp(AccessEngine::Batched).run();
+    let exp = Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
+        .scale(tiny_scale(Dataset::Wiki))
+        .huge_order(4)
+        .policy(PagePolicy::ThpSystemWide)
+        .sample_interval(200_000)
+        .build()
+        .expect("valid config");
+    let report = exp.run();
     assert!(
-        legacy.series.as_ref().is_some_and(|s| s.len() > 2),
+        report.series.as_ref().is_some_and(|s| s.len() > 2),
         "series too short to be probative"
     );
-    assert_reports_identical(&legacy, &batched, "sampled pagerank");
-    let line = cell("pagerank", &batched, &exp(AccessEngine::Batched));
-    assert_fixture_section(ORACLE, "sampled", &line);
+    assert_fixture_section(ORACLE, "sampled", &cell("pagerank", &report, &exp));
 }
 
-/// `--attribution` used to force the batch APIs down the scalar path; now
-/// it rides the page-run fast path (bulk region tagging per page). The
-/// attribution tables — and everything else — must stay bit-identical to
-/// the legacy engine, including the memstate series a sampled attribution
-/// run records.
+/// Attribution rides the page-run fast path (region tagging once per
+/// probe). The attribution tables, the memstate series a sampled
+/// attribution run records, and everything else in the report match the
+/// pinned oracle verdict.
 #[test]
 fn attribution_bit_identical_on_fast_path() {
-    let exp = |engine| {
-        Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
-            .scale(tiny_scale(Dataset::Wiki))
-            .huge_order(4)
-            .policy(PagePolicy::ThpSystemWide)
-            .sample_interval(250_000)
-            .access_engine(engine)
-            .build()
-            .expect("valid config")
-            .attribution(true)
-    };
-    let legacy = exp(AccessEngine::Legacy).run();
-    let batched = exp(AccessEngine::Batched).run();
-    let regions = batched
+    let exp = Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
+        .scale(tiny_scale(Dataset::Wiki))
+        .huge_order(4)
+        .policy(PagePolicy::ThpSystemWide)
+        .sample_interval(250_000)
+        .build()
+        .expect("valid config")
+        .attribution(true);
+    let report = exp.run();
+    let regions = report
         .attribution
         .as_ref()
         .expect("attribution enabled")
         .regions
         .len();
     assert!(regions > 1, "need several regions to be probative");
-    // `assert_reports_identical` compares the serialized report, which
-    // embeds the full attribution tables and memstate series.
-    assert_reports_identical(&legacy, &batched, "attribution-on pagerank");
-    let line = cell("pagerank", &batched, &exp(AccessEngine::Batched));
-    assert_fixture_section(ORACLE, "attribution", &line);
+    // The serialized report embeds the full attribution tables and
+    // memstate series.
+    assert_fixture_section(ORACLE, "attribution", &cell("pagerank", &report, &exp));
 }
 
 /// Per-array profiles (reads/writes/seq-breaks/page histograms) are not
-/// part of `RunReport`, so compare them on a direct kernel run.
+/// part of `RunReport`, so pin them on a direct kernel run.
 #[test]
 fn per_array_profiles_bit_identical() {
-    let run = |engine| {
-        let csr = Dataset::Wiki.generate_with_scale(tiny_scale(Dataset::Wiki));
-        let mut sys = System::new(SystemSpec::scaled_demo());
-        sys.set_access_engine(engine);
-        let mut arrays = GraphArrays::map(&mut sys, &csr, Kernel::Bfs);
-        arrays.initialize(&mut sys, AllocOrder::Natural);
-        arrays.prop[0].profile_pages(1 << 16);
-        let root = graphmem_workloads::default_root(&csr);
-        Kernel::Bfs.run_simulated(&mut sys, &mut arrays, root);
-        let profiles: Vec<_> = arrays.profile().arrays().to_vec();
-        (profiles, arrays.prop[0].page_profile())
-    };
-    let (legacy, legacy_pages) = run(AccessEngine::Legacy);
-    let (batched, batched_pages) = run(AccessEngine::Batched);
-    assert_eq!(legacy, batched, "per-array profiles diverged");
-    assert_eq!(legacy_pages, batched_pages, "page histograms diverged");
-    let line = format!("bfs {}\n", debug_digest(&(batched, batched_pages)));
+    let csr = Dataset::Wiki.generate_with_scale(tiny_scale(Dataset::Wiki));
+    let mut sys = System::new(SystemSpec::scaled_demo());
+    let mut arrays = GraphArrays::map(&mut sys, &csr, Kernel::Bfs);
+    arrays.initialize(&mut sys, AllocOrder::Natural);
+    arrays.prop[0].profile_pages(1 << 16);
+    let root = graphmem_workloads::default_root(&csr);
+    Kernel::Bfs.run_simulated(&mut sys, &mut arrays, root);
+    let profiles: Vec<_> = arrays.profile().arrays().to_vec();
+    let line = format!(
+        "bfs {}\n",
+        debug_digest(&(profiles, arrays.prop[0].page_profile()))
+    );
     assert_fixture_section(ORACLE, "profiles", &line);
 }
 
@@ -194,26 +160,74 @@ fn access_run_fault_mid_run_resumes_at_faulting_element() {
         count + faults,
         "each fault must retry only the faulting element"
     );
-    // And the whole run must reconcile with an element-at-a-time twin.
+    // And the whole run must reconcile with the reference stepper.
     let mut twin = System::new(SystemSpec::scaled_demo());
     let tbase = twin.mmap(1 << 20, "probe");
-    twin.write(tbase);
+    step(&mut twin, tbase, true);
     for i in 0..count {
-        twin.read(tbase.add(i * 8));
+        step(&mut twin, tbase.add(i * 8), false);
     }
+    finish(&mut twin);
     assert_eq!(sys.perf(), twin.perf());
     assert_eq!(sys.clock(), twin.clock());
 }
 
-/// Build the twin systems for the proptest: one batched, one legacy.
-fn twin_systems() -> (System, VirtAddr, System, VirtAddr) {
+/// A tracer recording every event kind when `on`, else a disabled one.
+fn tracer(on: bool) -> Tracer {
+    if on {
+        Tracer::enabled(TraceConfig::default().mask(EventMask::ALL))
+    } else {
+        Tracer::disabled()
+    }
+}
+
+/// Build the twin systems for the proptest: one driven through the batch
+/// APIs, one through the reference stepper, each with its own tracer.
+fn twin_systems(traced: bool) -> (System, VirtAddr, System, VirtAddr) {
     let mut a = System::new(SystemSpec::scaled_demo());
-    a.set_access_engine(AccessEngine::Batched);
+    a.attach_telemetry(tracer(traced));
     let abase = a.mmap(1 << 21, "stream");
     let mut b = System::new(SystemSpec::scaled_demo());
-    b.set_access_engine(AccessEngine::Legacy);
+    b.attach_telemetry(tracer(traced));
     let bbase = b.mmap(1 << 21, "stream");
     (a, abase, b, bbase)
+}
+
+/// An event a daemon emits before its first kernel charge must carry the
+/// cycle the daemon ran at. A khugepaged pass over a VMA smaller than a
+/// huge page examines nothing and charges nothing, yet its scan event is
+/// stamped identically under the batch APIs, whose hit charges between
+/// probes never touch the tracer clock, and under the reference stepper.
+#[test]
+fn uncharged_daemon_events_are_stamped_like_the_stepper() {
+    let build = || {
+        let mut spec = SystemSpec::scaled_with_order(64, 4);
+        spec.thp.mode = ThpMode::Always;
+        spec.thp.khugepaged.scan_interval_cycles = 10_000;
+        let mut s = System::new(spec);
+        s.attach_telemetry(tracer(true));
+        let b = s.mmap(16 * 1024, "small");
+        s.populate(b, 16 * 1024);
+        (s, b)
+    };
+    let (mut sys, base) = build();
+    let (mut twin, tbase) = build();
+    for _ in 0..20 {
+        sys.access_run(base, 8, 2048, false);
+        for i in 0..2048 {
+            step(&mut twin, tbase.add(i * 8), false);
+        }
+    }
+    finish(&mut twin);
+    let scans = sys
+        .telemetry()
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::KhugepagedScan { .. }))
+        .count();
+    assert!(scans > 2, "khugepaged must run several passes: {scans}");
+    assert_eq!(sys.clock(), twin.clock());
+    assert_eq!(sys.telemetry().events(), twin.telemetry().events());
 }
 
 /// One randomized batch operation over a 2 MiB region of u64 elements.
@@ -257,53 +271,56 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Random mixes of strided runs, gathers, and gather-RMWs through the
-    /// batched engine reconcile exactly with element-at-a-time accesses
-    /// through the legacy engine: same clock, same counters, same OS
-    /// stats.
+    /// batch APIs reconcile exactly with the reference stepper: same
+    /// clock, same counters, same OS stats, and, when traced, the same
+    /// cycle-stamped event stream.
     #[test]
-    fn random_batches_reconcile_with_scalar_loops(ops in proptest::collection::vec(arb_op(), 1..12)) {
-        let (mut sys, base, mut twin, tbase) = twin_systems();
+    fn random_batches_reconcile_with_scalar_loops(
+        ops in proptest::collection::vec(arb_op(), 1..12),
+        traced in any::<bool>(),
+    ) {
+        let (mut sys, base, mut twin, tbase) = twin_systems(traced);
         for op in &ops {
             match op {
                 Op::Run { start, stride, count, write } => {
                     let off = u64::from(*start) * 8;
                     sys.access_run(base.add(off), *stride * 8, *count, *write);
                     for i in 0..*count {
-                        let addr = tbase.add(off + i * *stride * 8);
-                        if *write { twin.write(addr) } else { twin.read(addr) }
+                        step(&mut twin, tbase.add(off + i * *stride * 8), *write);
                     }
                 }
                 Op::Gather { indices, write } => {
                     sys.access_gather(base, 8, indices, *write);
                     for &i in indices {
-                        let addr = tbase.add(u64::from(i) * 8);
-                        if *write { twin.write(addr) } else { twin.read(addr) }
+                        step(&mut twin, tbase.add(u64::from(i) * 8), *write);
                     }
                 }
                 Op::Rmw { indices } => {
                     sys.access_gather_rmw(base, 8, indices);
                     for &i in indices {
                         let addr = tbase.add(u64::from(i) * 8);
-                        twin.read(addr);
-                        twin.write(addr);
+                        step(&mut twin, addr, false);
+                        step(&mut twin, addr, true);
                     }
                 }
             }
+            finish(&mut twin);
             prop_assert_eq!(sys.clock(), twin.clock());
         }
         prop_assert_eq!(sys.perf(), twin.perf());
         prop_assert_eq!(sys.os_stats(), twin.os_stats());
+        prop_assert_eq!(sys.telemetry().events(), twin.telemetry().events());
     }
 
     /// Bulk `charge_page_hits` equals n scalar hits for arbitrary run
     /// length, page size (huge order + THP mode), and event-horizon split
     /// point: an epoch sampler forces bulk charges to split mid-page at
     /// arbitrary cycle boundaries, and the sampled series must capture the
-    /// identical counter snapshots at the identical cycles as scalar
-    /// stepping through the legacy engine.
+    /// identical counter snapshots at the identical cycles as the
+    /// reference stepper; when traced, both record the same event stream.
     #[test]
     fn bulk_charges_split_at_event_horizon_match_scalar(
         huge_order in prop_oneof![Just(4u8), Just(6u8)],
@@ -313,31 +330,33 @@ proptest! {
         count in 1u64..3000,
         start in 0u32..1000,
         write in any::<bool>(),
+        traced in any::<bool>(),
     ) {
-        let build = |engine| {
+        let build = || {
             let mut spec = SystemSpec::scaled_with_order(64, huge_order);
             if thp_always {
                 spec.thp.mode = ThpMode::Always;
             }
             let mut s = System::new(spec);
-            s.set_access_engine(engine);
+            s.attach_telemetry(tracer(traced));
             s.enable_sampling(interval);
             let b = s.mmap(1 << 21, "stream");
             (s, b)
         };
-        let (mut sys, base) = build(AccessEngine::Batched);
-        let (mut twin, tbase) = build(AccessEngine::Legacy);
+        let (mut sys, base) = build();
+        let (mut twin, tbase) = build();
         let off = u64::from(start) * 8;
         let stride = stride_elems * 8;
         sys.access_run(base.add(off), stride, count, write);
         for i in 0..count {
-            let addr = tbase.add(off + i * stride);
-            if write { twin.write(addr) } else { twin.read(addr) }
+            step(&mut twin, tbase.add(off + i * stride), write);
         }
+        finish(&mut twin);
         prop_assert_eq!(sys.clock(), twin.clock());
         prop_assert_eq!(sys.perf(), twin.perf());
         prop_assert_eq!(sys.os_stats(), twin.os_stats());
         prop_assert_eq!(sys.take_series(), twin.take_series());
+        prop_assert_eq!(sys.telemetry().events(), twin.telemetry().events());
         // Every fast-path element is either bulk-charged or probed.
         let (hits, misses) = sys.memo_stats();
         prop_assert_eq!(hits + misses, count);

@@ -3,15 +3,20 @@
 //! `RunReport` bytes for a given spec are the fixed point of the model —
 //! they change only when a change sets out to change the model. The
 //! differential harness cannot see an exact-by-construction rewrite of
-//! the shared TLB/cache structures go wrong, because both of its engines
-//! run on the same structures. This test can: it hashes each report's
-//! JSON and compares against digests recorded in
+//! the shared TLB/cache structures go wrong, because the batch APIs and
+//! its reference stepper run on the same structures. This test can: it
+//! hashes each report's JSON and compares against digests recorded in
 //! `golden/report_digests.txt`.
 //!
 //! The grid is all four kernels on the wiki preset under two plans:
 //! base pages only, and system-wide THP on a 0.6-fragmented machine with
 //! the page-size governor running. If a change is meant to alter the
 //! model, replace the fixture with the `actual` lines the failure prints.
+//!
+//! Observation is pinned too (`golden/observation_digests.txt`): the full
+//! telemetry event stream of two runs and the access trace of a third,
+//! each recorded alongside an unobserved twin that must match it. An
+//! observer that changed which pipeline runs would move these.
 
 use graphmem_core::{
     Experiment, ExperimentBuilder, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan,
@@ -204,6 +209,8 @@ fn access_trace_of_thp_bfs_is_pinned() {
         os.huge_faults > 0,
         "the run must map huge pages to be probative"
     );
+    // A faulting element is retried once but traced once.
+    assert_eq!(trace.len() as u64 + os.faults, perf.accesses);
     let mut h = Fnv1a::default();
     for (addr, is_write) in trace.iter() {
         h.update(&addr.0.to_le_bytes());

@@ -5,17 +5,16 @@
 //! 1. **Governor-off runs are bit-identical to the pre-governor stack.**
 //!    A disabled governor installs no epoch deadline, charges no cycles,
 //!    and attaches no report section, so a plain-policy run and a
-//!    plan-with-no-governor run must produce byte-identical report JSON
-//!    under both access engines — the same differential harness that
-//!    proves the batched engine against the legacy oracle.
+//!    plan-with-no-governor run must produce byte-identical report JSON.
+//!    A governed run's report is pinned by digest next to the
+//!    differential harness's oracle verdicts.
 //! 2. **Governor counters reconcile.** The totals in `GovernorStats`
 //!    must equal the sums of the per-epoch decision series, and every
 //!    governor promotion/demotion must appear in the OS-level
 //!    khugepaged/demotion counters it drives.
 
 use graphmem_core::{
-    AccessEngine, Experiment, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan, RunReport,
-    RunSpec,
+    Experiment, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan, RunReport, RunSpec,
 };
 use graphmem_graph::Dataset;
 use graphmem_integration_tests::{assert_fixture_section, fnv1a};
@@ -34,75 +33,60 @@ fn fragmented() -> MemoryCondition {
     MemoryCondition::fragmented(0.6)
 }
 
-fn plan_experiment(kernel: Kernel, plan: PageSizePlan, engine: AccessEngine) -> Experiment {
+fn plan_experiment(kernel: Kernel, plan: PageSizePlan) -> Experiment {
     Experiment::builder(Dataset::Wiki, kernel)
         .scale(tiny_scale(Dataset::Wiki))
         .plan(plan)
         .condition(fragmented())
-        .access_engine(engine)
         .build()
         .expect("valid config")
 }
 
-fn run_plan(kernel: Kernel, plan: PageSizePlan, engine: AccessEngine) -> RunReport {
-    plan_experiment(kernel, plan, engine).run()
+fn run_plan(kernel: Kernel, plan: PageSizePlan) -> RunReport {
+    plan_experiment(kernel, plan).run()
 }
 
 /// Governor-off runs must be bit-identical to plain policy runs — the
 /// plan refactor and the governor hook may not perturb a single cycle —
-/// under both engines and across two kernels.
+/// across two kernels.
 #[test]
 fn governor_off_is_bit_identical_to_plain_policy_runs() {
     for kernel in [Kernel::Bfs, Kernel::Pagerank] {
-        for engine in [AccessEngine::Batched, AccessEngine::Legacy] {
-            let plain = Experiment::builder(Dataset::Wiki, kernel)
-                .scale(tiny_scale(Dataset::Wiki))
-                .policy(PagePolicy::ThpSystemWide)
-                .condition(fragmented())
-                .access_engine(engine)
-                .build()
-                .expect("valid config")
-                .run();
-            let planned = run_plan(
-                kernel,
-                PageSizePlan::with_policy(PagePolicy::ThpSystemWide),
-                engine,
-            );
-            assert_eq!(
-                plain.to_json(),
-                planned.to_json(),
-                "{kernel} / {engine:?}: plan-without-governor must not change the run"
-            );
-            assert!(planned.governor.is_none(), "no governor section when off");
-            assert!(
-                !planned.to_json().contains("\"governor\""),
-                "governor-off JSON must look exactly like pre-governor JSON"
-            );
-        }
+        let plain = Experiment::builder(Dataset::Wiki, kernel)
+            .scale(tiny_scale(Dataset::Wiki))
+            .policy(PagePolicy::ThpSystemWide)
+            .condition(fragmented())
+            .build()
+            .expect("valid config")
+            .run();
+        let planned = run_plan(kernel, PageSizePlan::with_policy(PagePolicy::ThpSystemWide));
+        assert_eq!(
+            plain.to_json(),
+            planned.to_json(),
+            "{kernel}: plan-without-governor must not change the run"
+        );
+        assert!(planned.governor.is_none(), "no governor section when off");
+        assert!(
+            !planned.to_json().contains("\"governor\""),
+            "governor-off JSON must look exactly like pre-governor JSON"
+        );
     }
-    // And the engines agree with each other on a governed run too: the
-    // governor hook sits at the same point in both pipelines.
+    // And a governed run matches the pinned oracle verdict.
     let plan = PageSizePlan::with_policy(PagePolicy::ThpSystemWide).governed(GovernorConfig {
         epoch_cycles: 200_000,
         promote_cost: 0.5,
         demote_cost: 0.1,
         ..GovernorConfig::default()
     });
-    let batched = run_plan(Kernel::Bfs, plan, AccessEngine::Batched);
-    let legacy = run_plan(Kernel::Bfs, plan, AccessEngine::Legacy);
-    assert_eq!(
-        batched.to_json(),
-        legacy.to_json(),
-        "governed runs must stay engine-independent"
-    );
+    let governed = run_plan(Kernel::Bfs, plan);
     assert!(
-        batched.governor.as_ref().is_some_and(|g| g.epochs > 0),
-        "the governed twin must actually run epochs to be probative"
+        governed.governor.as_ref().is_some_and(|g| g.epochs > 0),
+        "the governed run must actually run epochs to be probative"
     );
     let line = format!(
         "bfs {} {}\n",
-        fnv1a(batched.to_json().as_bytes()),
-        plan_experiment(Kernel::Bfs, plan, AccessEngine::Batched).config_hash()
+        fnv1a(governed.to_json().as_bytes()),
+        plan_experiment(Kernel::Bfs, plan).config_hash()
     );
     assert_fixture_section(ORACLE, "governed", &line);
 }
@@ -164,7 +148,6 @@ proptest! {
         let report = run_plan(
             kernel,
             PageSizePlan::with_policy(PagePolicy::BaseOnly).governed(config),
-            AccessEngine::Batched,
         );
         let gov = report.governor.as_ref().expect("governor section");
         prop_assert_eq!(gov.series.len() as u64, gov.epochs, "one sample per epoch");

@@ -2,8 +2,8 @@
 //!
 //! Three contracts are enforced here. **Non-perturbation**: attribution is
 //! side-band observation, so a run with it enabled must be bit-identical
-//! (after stripping the profile itself) to the same run without it, under
-//! both access engines. **Fidelity**: on a pointer-indirect kernel whose
+//! (after stripping the profile itself) to the same run without it, and
+//! both reports match their pinned digests. **Fidelity**: on a pointer-indirect kernel whose
 //! property array outgrows the STLB's reach, the profile must attribute
 //! the majority of STLB misses and walk cycles to that array — the
 //! paper's Fig. 4/5 observation. **Exactness**: the attribution report
@@ -12,8 +12,7 @@
 //! the zone.
 
 use graphmem_core::{
-    AccessEngine, AttributionReport, Experiment, MemoryCondition, PagePolicy, RegionReport,
-    RunReport,
+    AttributionReport, Experiment, MemoryCondition, PagePolicy, RegionReport, RunReport,
 };
 use graphmem_graph::Dataset;
 use graphmem_integration_tests::{assert_fixture_section, fnv1a};
@@ -32,44 +31,37 @@ fn tiny_scale(ds: Dataset) -> u8 {
 
 /// Attribution must never perturb the simulated machine: the report of an
 /// attributed run, with the profile stripped, serializes byte-identically
-/// to the unattributed run — under both the batched and legacy engines.
+/// to the unattributed run, and both reports match the pinned oracle
+/// verdict.
 #[test]
-fn attribution_never_perturbs_the_run_under_either_engine() {
+fn attribution_never_perturbs_the_run() {
     let mut actual = String::new();
-    for engine in [AccessEngine::Batched, AccessEngine::Legacy] {
-        for kernel in [Kernel::Bfs, Kernel::Pagerank] {
-            let exp = |attr: bool| {
-                Experiment::builder(Dataset::Wiki, kernel)
-                    .scale(tiny_scale(Dataset::Wiki))
-                    .huge_order(4)
-                    .policy(PagePolicy::ThpSystemWide)
-                    .sample_interval(200_000)
-                    .access_engine(engine)
-                    .build()
-                    .expect("valid config")
-                    .attribution(attr)
-            };
-            let plain: RunReport = exp(false).run();
-            let mut profiled = exp(true).run();
-            if engine == AccessEngine::Batched {
-                actual += &format!(
-                    "{kernel} {} {} {}\n",
-                    fnv1a(plain.to_json().as_bytes()),
-                    fnv1a(profiled.to_json().as_bytes()),
-                    exp(false).config_hash()
-                );
-            }
-            assert!(
-                profiled.attribution.is_some(),
-                "{kernel}/{engine:?}: profile attached"
-            );
-            profiled.attribution = None;
-            assert_eq!(
-                plain.to_json(),
-                profiled.to_json(),
-                "{kernel}/{engine:?}: attribution perturbed the run"
-            );
-        }
+    for kernel in [Kernel::Bfs, Kernel::Pagerank] {
+        let exp = |attr: bool| {
+            Experiment::builder(Dataset::Wiki, kernel)
+                .scale(tiny_scale(Dataset::Wiki))
+                .huge_order(4)
+                .policy(PagePolicy::ThpSystemWide)
+                .sample_interval(200_000)
+                .build()
+                .expect("valid config")
+                .attribution(attr)
+        };
+        let plain: RunReport = exp(false).run();
+        let mut profiled = exp(true).run();
+        actual += &format!(
+            "{kernel} {} {} {}\n",
+            fnv1a(plain.to_json().as_bytes()),
+            fnv1a(profiled.to_json().as_bytes()),
+            exp(false).config_hash()
+        );
+        assert!(profiled.attribution.is_some(), "{kernel}: profile attached");
+        profiled.attribution = None;
+        assert_eq!(
+            plain.to_json(),
+            profiled.to_json(),
+            "{kernel}: attribution perturbed the run"
+        );
     }
     assert_fixture_section(ORACLE, "observe", &actual);
 }
