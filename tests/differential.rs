@@ -32,7 +32,8 @@ fn cell(name: &str, report: &RunReport, exp: &Experiment) -> String {
 
 /// The reference stepper: poll every daemon and the sampler, then one
 /// scalar access. Polling clears the translation cursor, so every step
-/// is a real MMU probe. Call [`finish`] after the last step.
+/// is a real MMU probe. After the last step, poll once more
+/// (`run_due_events`) for the events that access made due.
 fn step(sys: &mut System, addr: VirtAddr, is_write: bool) {
     sys.run_due_events();
     if is_write {
@@ -40,11 +41,6 @@ fn step(sys: &mut System, addr: VirtAddr, is_write: bool) {
     } else {
         sys.read(addr);
     }
-}
-
-/// The stepper's closing poll: events made due by the last access.
-fn finish(sys: &mut System) {
-    sys.run_due_events();
 }
 
 /// `GRAPHMEM_SCALE=tiny` equivalent: the graphmem-bench scale ladder maps
@@ -167,7 +163,7 @@ fn access_run_fault_mid_run_resumes_at_faulting_element() {
     for i in 0..count {
         step(&mut twin, tbase.add(i * 8), false);
     }
-    finish(&mut twin);
+    twin.run_due_events();
     assert_eq!(sys.perf(), twin.perf());
     assert_eq!(sys.clock(), twin.clock());
 }
@@ -218,7 +214,7 @@ fn uncharged_daemon_events_are_stamped_like_the_stepper() {
             step(&mut twin, tbase.add(i * 8), false);
         }
     }
-    finish(&mut twin);
+    twin.run_due_events();
     let scans = sys
         .telemetry()
         .events()
@@ -307,7 +303,7 @@ proptest! {
                     }
                 }
             }
-            finish(&mut twin);
+            twin.run_due_events();
             prop_assert_eq!(sys.clock(), twin.clock());
         }
         prop_assert_eq!(sys.perf(), twin.perf());
@@ -351,7 +347,7 @@ proptest! {
         for i in 0..count {
             step(&mut twin, tbase.add(off + i * stride), write);
         }
-        finish(&mut twin);
+        twin.run_due_events();
         prop_assert_eq!(sys.clock(), twin.clock());
         prop_assert_eq!(sys.perf(), twin.perf());
         prop_assert_eq!(sys.os_stats(), twin.os_stats());
