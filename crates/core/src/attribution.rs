@@ -19,21 +19,30 @@
 use std::fmt::Write as _;
 
 use graphmem_os::{MemStateSeries, System};
-use graphmem_telemetry::json::{self, JsonObject, JsonValue};
+use graphmem_telemetry::counters::{
+    read_field, read_optional, write_optional, Cumulative, Field, FieldError,
+};
+use graphmem_telemetry::json::{JsonObject, JsonValue};
 use graphmem_vm::RegionCounters;
 
-/// Attribution for one region (VMA): its translation counters plus its
-/// end-of-run mapping footprint.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RegionReport {
-    /// The VMA name (e.g. `"edge_array"`, `"dist"`).
-    pub name: String,
-    /// Translation-cost counters charged to the region, split by page size.
-    pub counters: RegionCounters,
-    /// Bytes of the region mapped at end of run.
-    pub mapped_bytes: u64,
-    /// Bytes of the region backed by huge pages at end of run.
-    pub huge_bytes: u64,
+graphmem_telemetry::counters! {
+    /// Attribution for one region (VMA): its translation counters plus its
+    /// end-of-run mapping footprint.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct RegionReport {
+        gauge {
+            /// The VMA name (e.g. `"edge_array"`, `"dist"`).
+            name: String,
+            /// Bytes of the region mapped at end of run.
+            mapped_bytes: u64,
+            /// Bytes of the region backed by huge pages at end of run.
+            huge_bytes: u64,
+        }
+        cumulative {
+            /// Translation-cost counters charged to the region, split by page size.
+            counters: RegionCounters,
+        }
+    }
 }
 
 impl RegionReport {
@@ -44,36 +53,6 @@ impl RegionReport {
         } else {
             self.huge_bytes as f64 / self.mapped_bytes as f64
         }
-    }
-
-    fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_str("name", &self.name)
-            .field_u64("mapped_bytes", self.mapped_bytes)
-            .field_u64("huge_bytes", self.huge_bytes)
-            .field_raw("counters", &self.counters.to_json());
-        o.finish()
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("region report: field '{k}' missing"))
-        };
-        Ok(RegionReport {
-            name: v
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or("region report: field 'name' missing")?
-                .to_string(),
-            mapped_bytes: u("mapped_bytes")?,
-            huge_bytes: u("huge_bytes")?,
-            counters: RegionCounters::from_json_value(
-                v.get("counters")
-                    .ok_or("region report: field 'counters' missing")?,
-            )?,
-        })
     }
 }
 
@@ -196,17 +175,7 @@ impl AttributionReport {
         let mut huge = 0u64;
         for r in &self.regions {
             row(&mut out, &r.name, &r.counters, r.huge_coverage());
-            for i in 0..2 {
-                total.accesses[i] += r.counters.accesses[i];
-                total.dtlb_misses[i] += r.counters.dtlb_misses[i];
-                total.stlb_hits[i] += r.counters.stlb_hits[i];
-                total.stlb_misses[i] += r.counters.stlb_misses[i];
-                total.walk_pte_reads[i] += r.counters.walk_pte_reads[i];
-                total.translation_cycles[i] += r.counters.translation_cycles[i];
-            }
-            total.faults += r.counters.faults;
-            total.fault_cycles += r.counters.fault_cycles;
-            total.walk_latency.merge(&r.counters.walk_latency);
+            total.accumulate(&r.counters);
             mapped += r.mapped_bytes;
             huge += r.huge_bytes;
         }
@@ -225,13 +194,8 @@ impl AttributionReport {
     /// byte-identically.
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
-        o.field_raw(
-            "regions",
-            &json::array(self.regions.iter().map(RegionReport::to_json)),
-        );
-        if let Some(memory) = &self.memory {
-            o.field_raw("memory", &memory.to_json());
-        }
+        o.field_raw("regions", &self.regions.json());
+        write_optional(&mut o, "memory", &self.memory);
         o.finish()
     }
 
@@ -241,18 +205,20 @@ impl AttributionReport {
     ///
     /// Returns a message naming the missing or mistyped field.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let regions = v
-            .get("regions")
-            .and_then(JsonValue::as_array)
-            .ok_or("attribution: field 'regions' missing")?
-            .iter()
-            .map(RegionReport::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let memory = match v.get("memory") {
-            Some(m) => Some(MemStateSeries::from_json_value(m)?),
-            None => None,
-        };
-        Ok(AttributionReport { regions, memory })
+        Self::from_json(v).map_err(|e| format!("attribution: {e}"))
+    }
+}
+
+impl Field for AttributionReport {
+    fn json(&self) -> String {
+        self.to_json()
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
+        Ok(AttributionReport {
+            regions: read_field(v, "regions")?,
+            memory: read_optional(v, "memory")?,
+        })
     }
 }
 

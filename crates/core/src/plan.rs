@@ -12,11 +12,12 @@
 //! carried by [`RunSpec`](crate::RunSpec) across the wire.
 
 use graphmem_os::GovernorConfig;
+use graphmem_telemetry::counters::write_optional;
 use graphmem_telemetry::json::{JsonObject, JsonValue};
 
 use crate::error::GraphmemError;
 use crate::policy::PagePolicy;
-use crate::spec::{policy_from_token, policy_token};
+use crate::spec::{policy_from_token, policy_token, spec_field};
 
 /// Every page-size management knob of one run, as plain data: the static
 /// placement [`PagePolicy`], the khugepaged ablation overrides, the
@@ -100,18 +101,11 @@ impl PageSizePlan {
     /// a policy serializes exactly as specs did before the plan existed.
     pub(crate) fn write_json_fields(&self, o: &mut JsonObject) {
         o.field_str("policy", &policy_token(&self.policy));
-        if let Some(e) = self.khugepaged_enabled {
-            o.field_bool("khugepaged", e);
-        }
-        if let Some(i) = self.khugepaged_interval {
-            o.field_u64("khugepaged_interval", i);
-        }
-        if let Some(b) = self.defrag_scan_blocks {
-            o.field_u64("defrag_blocks", b as u64);
-        }
-        if let Some(g) = &self.governor {
-            o.field_str("governor", &g.to_string());
-        }
+        write_optional(o, "khugepaged", &self.khugepaged_enabled);
+        write_optional(o, "khugepaged_interval", &self.khugepaged_interval);
+        let blocks = self.defrag_scan_blocks.map(|b| b as u64);
+        write_optional(o, "defrag_blocks", &blocks);
+        write_optional(o, "governor", &self.governor.map(|g| g.to_string()));
     }
 
     /// Read the plan fields out of a JSON object (absent keys keep their
@@ -122,46 +116,15 @@ impl PageSizePlan {
     /// Returns a message naming the first unparseable field.
     pub(crate) fn read_json_fields(v: &JsonValue) -> Result<Self, String> {
         let mut plan = PageSizePlan::default();
-        if let Some(raw) = v.get("policy") {
-            let s = raw.as_str().ok_or("spec field 'policy' must be a string")?;
-            plan.policy = policy_from_token(s)?;
+        if let Some(s) = spec_field::<String>(v, "policy")? {
+            plan.policy = policy_from_token(&s)?;
         }
-        match v.get("khugepaged") {
-            None | Some(JsonValue::Null) => {}
-            Some(raw) => {
-                plan.khugepaged_enabled = Some(
-                    raw.as_bool()
-                        .ok_or("spec field 'khugepaged' must be a boolean")?,
-                );
-            }
-        }
-        match v.get("khugepaged_interval") {
-            None | Some(JsonValue::Null) => {}
-            Some(raw) => {
-                plan.khugepaged_interval = Some(
-                    raw.as_u64()
-                        .ok_or("spec field 'khugepaged_interval' must be an integer")?,
-                );
-            }
-        }
-        match v.get("defrag_blocks") {
-            None | Some(JsonValue::Null) => {}
-            Some(raw) => {
-                plan.defrag_scan_blocks = Some(
-                    raw.as_u64()
-                        .ok_or("spec field 'defrag_blocks' must be an integer")?
-                        as usize,
-                );
-            }
-        }
-        match v.get("governor") {
-            None | Some(JsonValue::Null) => {}
-            Some(raw) => {
-                let s = raw
-                    .as_str()
-                    .ok_or("spec field 'governor' must be a string token")?;
-                plan.governor = Some(s.parse::<GovernorConfig>()?);
-            }
+        plan.khugepaged_enabled = spec_field(v, "khugepaged")?.flatten();
+        plan.khugepaged_interval = spec_field(v, "khugepaged_interval")?.flatten();
+        let blocks: Option<u64> = spec_field(v, "defrag_blocks")?.flatten();
+        plan.defrag_scan_blocks = blocks.map(|b| b as usize);
+        if let Some(s) = spec_field::<Option<String>>(v, "governor")?.flatten() {
+            plan.governor = Some(s.parse::<GovernorConfig>()?);
         }
         Ok(plan)
     }

@@ -1,101 +1,40 @@
 //! Results of one measured experiment run.
 
 use graphmem_os::{GovernorEpochSample, OsStats};
+use graphmem_telemetry::counters::{read_field, read_optional, write_optional, FieldError};
 use graphmem_telemetry::json::{JsonObject, JsonValue};
 use graphmem_telemetry::MetricsSeries;
 use graphmem_vm::PerfCounters;
 
 use crate::attribution::AttributionReport;
 
-/// What the page-size governor did during one run: cumulative decision
-/// counters plus the per-epoch decision series, attached to
-/// [`RunReport::governor`] when the governor was enabled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GovernorReport {
-    /// The canonical governor policy token
-    /// (`epoch=…,promote=…,demote=…,max=…`) — the same string accepted by
-    /// `--governor` and the spec JSON, so a report names the exact policy
-    /// that produced it.
-    pub config: String,
-    /// Control epochs completed.
-    pub epochs: u64,
-    /// Regions promoted by governor decisions.
-    pub promotions: u64,
-    /// Huge mappings demoted by governor decisions.
-    pub demotions: u64,
-    /// Promotions denied for lack of contiguity.
-    pub denied_by_fragmentation: u64,
-    /// Per-epoch decisions, in epoch order.
-    pub series: Vec<GovernorEpochSample>,
-}
-
-impl GovernorReport {
-    /// Render as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_str("config", &self.config);
-        o.field_u64("epochs", self.epochs);
-        o.field_u64("promotions", self.promotions);
-        o.field_u64("demotions", self.demotions);
-        o.field_u64("denied_by_fragmentation", self.denied_by_fragmentation);
-        let samples = self.series.iter().map(|s| {
-            let mut e = JsonObject::new();
-            e.field_u64("cycle", s.cycle);
-            e.field_u64("promoted", u64::from(s.promoted));
-            e.field_u64("demoted", u64::from(s.demoted));
-            e.field_u64("denied", u64::from(s.denied));
-            e.field_f64("fragmentation", s.fragmentation);
-            e.finish()
-        });
-        o.field_raw("series", &graphmem_telemetry::json::array(samples));
-        o.finish()
-    }
-
-    /// Rebuild from a parsed JSON object (see [`Self::to_json`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or mistyped field.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let u64_field = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("governor field '{k}' missing or not an integer"))
-        };
-        let raw_series = v
-            .get("series")
-            .and_then(JsonValue::as_array)
-            .ok_or("governor field 'series' missing or not an array")?;
-        let mut series = Vec::with_capacity(raw_series.len());
-        for s in raw_series {
-            let su = |k: &str| {
-                s.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("governor sample field '{k}' missing"))
-            };
-            series.push(GovernorEpochSample {
-                cycle: su("cycle")?,
-                promoted: su("promoted")? as u32,
-                demoted: su("demoted")? as u32,
-                denied: su("denied")? as u32,
-                fragmentation: s
-                    .get("fragmentation")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("governor sample field 'fragmentation' missing")?,
-            });
+graphmem_telemetry::counters! {
+    /// What the page-size governor did during one run: cumulative decision
+    /// counters plus the per-epoch decision series, attached to
+    /// [`RunReport::governor`] when the governor was enabled.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct GovernorReport {
+        gauge {
+            /// The canonical governor policy token
+            /// (`epoch=…,promote=…,demote=…,max=…`) — the same string accepted by
+            /// `--governor` and the spec JSON, so a report names the exact policy
+            /// that produced it.
+            config: String,
         }
-        Ok(GovernorReport {
-            config: v
-                .get("config")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or("governor field 'config' missing or not a string")?,
-            epochs: u64_field("epochs")?,
-            promotions: u64_field("promotions")?,
-            demotions: u64_field("demotions")?,
-            denied_by_fragmentation: u64_field("denied_by_fragmentation")?,
-            series,
-        })
+        cumulative {
+            /// Control epochs completed.
+            epochs: u64,
+            /// Regions promoted by governor decisions.
+            promotions: u64,
+            /// Huge mappings demoted by governor decisions.
+            demotions: u64,
+            /// Promotions denied for lack of contiguity.
+            denied_by_fragmentation: u64,
+        }
+        gauge {
+            /// Per-epoch decisions, in epoch order.
+            series: Vec<GovernorEpochSample>,
+        }
     }
 }
 
@@ -206,44 +145,14 @@ impl RunReport {
         o.field_u64("compute_cycles", self.compute_cycles);
         o.field_u64("preprocess_cycles", self.preprocess_cycles);
         o.field_u64("total_cycles", self.total_cycles());
+        // The counters, then the derived rates.
         let mut perf = JsonObject::new();
-        perf.field_u64("accesses", self.perf.accesses);
-        perf.field_u64("reads", self.perf.reads);
-        perf.field_u64("writes", self.perf.writes);
-        perf.field_u64("dtlb_misses", self.perf.dtlb_misses);
-        perf.field_u64("stlb_hits", self.perf.stlb_hits);
-        perf.field_u64("stlb_misses", self.perf.stlb_misses);
-        perf.field_u64("walk_pte_reads", self.perf.walk_pte_reads);
-        perf.field_u64("translation_cycles", self.perf.translation_cycles);
-        perf.field_u64("data_cycles", self.perf.data_cycles);
-        perf.field_raw(
-            "data_level_hits",
-            &graphmem_telemetry::json::array(self.perf.data_level_hits.iter().map(u64::to_string)),
-        );
-        perf.field_u64("faults", self.perf.faults);
+        self.perf.write_json(&mut perf);
         perf.field_f64("dtlb_miss_rate", self.dtlb_miss_rate());
         perf.field_f64("stlb_miss_rate", self.stlb_miss_rate());
         perf.field_f64("translation_overhead", self.translation_overhead());
         o.field_raw("perf", &perf.finish());
-        let mut os = JsonObject::new();
-        os.field_u64("faults", self.os.faults);
-        os.field_u64("huge_faults", self.os.huge_faults);
-        os.field_u64("base_faults", self.os.base_faults);
-        os.field_u64("huge_fallbacks", self.os.huge_fallbacks);
-        os.field_u64("direct_compactions", self.os.direct_compactions);
-        os.field_u64("blocks_compacted", self.os.blocks_compacted);
-        os.field_u64("frames_migrated", self.os.frames_migrated);
-        os.field_u64("promotions", self.os.promotions);
-        os.field_u64("khugepaged_scans", self.os.khugepaged_scans);
-        os.field_u64("demotions", self.os.demotions);
-        os.field_u64("util_demotions", self.os.util_demotions);
-        os.field_u64("bloat_frames_reclaimed", self.os.bloat_frames_reclaimed);
-        os.field_u64("swap_outs", self.os.swap_outs);
-        os.field_u64("swap_ins", self.os.swap_ins);
-        os.field_u64("cache_reclaims", self.os.cache_reclaims);
-        os.field_u64("cache_fills", self.os.cache_fills);
-        os.field_u64("kernel_cycles", self.os.kernel_cycles);
-        o.field_raw("os", &os.finish());
+        o.field_raw("os", &self.os.to_json());
         o.field_u64("footprint_bytes", self.footprint_bytes);
         o.field_u64("property_bytes", self.property_bytes);
         o.field_u64("property_huge_bytes", self.property_huge_bytes);
@@ -251,15 +160,9 @@ impl RunReport {
         o.field_f64("huge_memory_fraction", self.huge_memory_fraction());
         o.field_f64("property_huge_fraction", self.property_huge_fraction());
         o.field_bool("verified", self.verified);
-        if let Some(series) = &self.series {
-            o.field_raw("series", &series.to_json());
-        }
-        if let Some(attribution) = &self.attribution {
-            o.field_raw("attribution", &attribution.to_json());
-        }
-        if let Some(governor) = &self.governor {
-            o.field_raw("governor", &governor.to_json());
-        }
+        write_optional(&mut o, "series", &self.series);
+        write_optional(&mut o, "attribution", &self.attribution);
+        write_optional(&mut o, "governor", &self.governor);
         o.finish()
     }
 
@@ -286,107 +189,31 @@ impl RunReport {
     ///
     /// Returns a message naming the first missing or mistyped field.
     pub fn from_json_value(v: &JsonValue) -> Result<RunReport, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("report field '{k}' missing or not a string"))
-        };
-        let u64_field = |obj: &JsonValue, section: &str, k: &str| {
-            obj.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("report field '{section}{k}' missing or not an integer"))
-        };
-        let labels = [
-            str_field("dataset")?,
-            str_field("kernel")?,
-            str_field("policy")?,
-            str_field("preprocessing")?,
-            str_field("condition")?,
-        ];
-        let perf_v = v.get("perf").ok_or("report field 'perf' missing")?;
-        let pu = |k: &str| u64_field(perf_v, "perf.", k);
-        let hits_raw = perf_v
-            .get("data_level_hits")
-            .and_then(JsonValue::as_array)
-            .ok_or("report field 'perf.data_level_hits' missing or not an array")?;
-        if hits_raw.len() != 4 {
-            return Err(format!(
-                "report field 'perf.data_level_hits' has {} entries, expected 4",
-                hits_raw.len()
-            ));
-        }
-        let mut data_level_hits = [0u64; 4];
-        for (slot, raw) in data_level_hits.iter_mut().zip(hits_raw) {
-            *slot = raw
-                .as_u64()
-                .ok_or("report field 'perf.data_level_hits' entry not an integer")?;
-        }
-        let perf = PerfCounters {
-            accesses: pu("accesses")?,
-            reads: pu("reads")?,
-            writes: pu("writes")?,
-            dtlb_misses: pu("dtlb_misses")?,
-            stlb_hits: pu("stlb_hits")?,
-            stlb_misses: pu("stlb_misses")?,
-            walk_pte_reads: pu("walk_pte_reads")?,
-            translation_cycles: pu("translation_cycles")?,
-            data_cycles: pu("data_cycles")?,
-            data_level_hits,
-            faults: pu("faults")?,
-        };
-        let os_v = v.get("os").ok_or("report field 'os' missing")?;
-        let ou = |k: &str| u64_field(os_v, "os.", k);
-        let os = OsStats {
-            faults: ou("faults")?,
-            huge_faults: ou("huge_faults")?,
-            base_faults: ou("base_faults")?,
-            huge_fallbacks: ou("huge_fallbacks")?,
-            direct_compactions: ou("direct_compactions")?,
-            blocks_compacted: ou("blocks_compacted")?,
-            frames_migrated: ou("frames_migrated")?,
-            promotions: ou("promotions")?,
-            khugepaged_scans: ou("khugepaged_scans")?,
-            demotions: ou("demotions")?,
-            util_demotions: ou("util_demotions")?,
-            bloat_frames_reclaimed: ou("bloat_frames_reclaimed")?,
-            swap_outs: ou("swap_outs")?,
-            swap_ins: ou("swap_ins")?,
-            cache_reclaims: ou("cache_reclaims")?,
-            cache_fills: ou("cache_fills")?,
-            kernel_cycles: ou("kernel_cycles")?,
-        };
-        let tu = |k: &str| u64_field(v, "", k);
-        let series = match v.get("series") {
-            Some(sv) => Some(MetricsSeries::from_json_value(sv)?),
-            None => None,
-        };
-        let attribution = match v.get("attribution") {
-            Some(av) => Some(AttributionReport::from_json_value(av)?),
-            None => None,
-        };
-        let governor = match v.get("governor") {
-            Some(gv) => Some(GovernorReport::from_json_value(gv)?),
-            None => None,
-        };
+        Self::read(v).map_err(|e| format!("report: {e}"))
+    }
+
+    fn read(v: &JsonValue) -> Result<RunReport, FieldError> {
         Ok(RunReport {
-            labels,
-            init_cycles: tu("init_cycles")?,
-            compute_cycles: tu("compute_cycles")?,
-            preprocess_cycles: tu("preprocess_cycles")?,
-            perf,
-            os,
-            footprint_bytes: tu("footprint_bytes")?,
-            property_bytes: tu("property_bytes")?,
-            property_huge_bytes: tu("property_huge_bytes")?,
-            total_huge_bytes: tu("total_huge_bytes")?,
-            verified: v
-                .get("verified")
-                .and_then(JsonValue::as_bool)
-                .ok_or("report field 'verified' missing or not a bool")?,
-            series,
-            attribution,
-            governor,
+            labels: [
+                read_field(v, "dataset")?,
+                read_field(v, "kernel")?,
+                read_field(v, "policy")?,
+                read_field(v, "preprocessing")?,
+                read_field(v, "condition")?,
+            ],
+            init_cycles: read_field(v, "init_cycles")?,
+            compute_cycles: read_field(v, "compute_cycles")?,
+            preprocess_cycles: read_field(v, "preprocess_cycles")?,
+            perf: read_field(v, "perf")?,
+            os: read_field(v, "os")?,
+            footprint_bytes: read_field(v, "footprint_bytes")?,
+            property_bytes: read_field(v, "property_bytes")?,
+            property_huge_bytes: read_field(v, "property_huge_bytes")?,
+            total_huge_bytes: read_field(v, "total_huge_bytes")?,
+            verified: read_field(v, "verified")?,
+            series: read_optional(v, "series")?,
+            attribution: read_optional(v, "attribution")?,
+            governor: read_optional(v, "governor")?,
         })
     }
 

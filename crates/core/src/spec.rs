@@ -23,6 +23,7 @@
 
 use graphmem_graph::Dataset;
 use graphmem_os::FilePlacement;
+use graphmem_telemetry::counters::{read_optional, write_optional, Field};
 use graphmem_telemetry::json::{JsonObject, JsonValue};
 use graphmem_workloads::{AllocOrder, Kernel};
 
@@ -143,9 +144,7 @@ impl RunSpec {
         let mut o = JsonObject::new();
         o.field_str("dataset", self.dataset.name());
         o.field_str("kernel", self.kernel.name());
-        if let Some(s) = self.scale {
-            o.field_u64("scale", u64::from(s));
-        }
+        write_optional(&mut o, "scale", &self.scale.map(u64::from));
         self.plan.write_json_fields(&mut o);
         o.field_str("preprocess", self.preprocess.label());
         o.field_str("order", order_token(self.order));
@@ -154,9 +153,7 @@ impl RunSpec {
         o.field_f64("noise", self.condition.noise_occupancy);
         o.field_str("file", file_token(self.file));
         o.field_bool("verify", self.verify);
-        if let Some(i) = self.sample_interval {
-            o.field_u64("sample_interval", i);
-        }
+        write_optional(&mut o, "sample_interval", &self.sample_interval);
         o.field_u64("seed_offset", self.seed_offset);
         o.finish()
     }
@@ -181,86 +178,51 @@ impl RunSpec {
             return Err("run spec must be a JSON object".into());
         }
         let mut spec = RunSpec::default();
-        let str_of = |k: &str| -> Result<Option<&str>, String> {
-            match v.get(k) {
-                None => Ok(None),
-                Some(raw) => raw
-                    .as_str()
-                    .map(Some)
-                    .ok_or_else(|| format!("spec field '{k}' must be a string")),
-            }
-        };
-        if let Some(s) = str_of("dataset")? {
-            spec.dataset = dataset_from_token(s)?;
+        if let Some(s) = spec_field::<String>(v, "dataset")? {
+            spec.dataset = dataset_from_token(&s)?;
         }
-        if let Some(s) = str_of("kernel")? {
-            spec.kernel = kernel_from_token(s)?;
+        if let Some(s) = spec_field::<String>(v, "kernel")? {
+            spec.kernel = kernel_from_token(&s)?;
         }
-        match v.get("scale") {
-            None | Some(JsonValue::Null) => {}
-            Some(raw) => {
-                let n = raw
-                    .as_u64()
-                    .filter(|&n| n <= u64::from(u8::MAX))
-                    .ok_or("spec field 'scale' must be a small integer")?;
-                spec.scale = Some(n as u8);
-            }
+        if let Some(n) = spec_field::<Option<u64>>(v, "scale")?.flatten() {
+            let n = u8::try_from(n).map_err(|_| "spec field 'scale' must be a small integer")?;
+            spec.scale = Some(n);
         }
         spec.plan = PageSizePlan::read_json_fields(v)?;
-        if let Some(s) = str_of("preprocess")? {
-            spec.preprocess = preprocess_from_token(s)?;
+        if let Some(s) = spec_field::<String>(v, "preprocess")? {
+            spec.preprocess = preprocess_from_token(&s)?;
         }
-        if let Some(s) = str_of("order")? {
-            spec.order = order_from_token(s)?;
+        if let Some(s) = spec_field::<String>(v, "order")? {
+            spec.order = order_from_token(&s)?;
         }
-        if let Some(s) = str_of("surplus")? {
-            spec.condition.surplus = surplus_from_token(s)?;
+        if let Some(s) = spec_field::<String>(v, "surplus")? {
+            spec.condition.surplus = surplus_from_token(&s)?;
         }
-        let f64_of = |k: &str| -> Result<Option<f64>, String> {
-            match v.get(k) {
-                None => Ok(None),
-                Some(raw) => raw
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| format!("spec field '{k}' must be a number")),
-            }
-        };
-        if let Some(f) = f64_of("frag")? {
+        if let Some(f) = spec_field(v, "frag")? {
             spec.condition.fragmentation = f;
         }
-        if let Some(f) = f64_of("noise")? {
+        if let Some(f) = spec_field(v, "noise")? {
             spec.condition.noise_occupancy = f;
         }
-        if let Some(s) = str_of("file")? {
-            spec.file = file_from_token(s)?;
+        if let Some(s) = spec_field::<String>(v, "file")? {
+            spec.file = file_from_token(&s)?;
         }
-        match v.get("verify") {
-            None => {}
-            Some(raw) => {
-                spec.verify = raw
-                    .as_bool()
-                    .ok_or("spec field 'verify' must be a boolean")?;
-            }
+        if let Some(verify) = spec_field(v, "verify")? {
+            spec.verify = verify;
         }
-        match v.get("sample_interval") {
-            None | Some(JsonValue::Null) => {}
-            Some(raw) => {
-                spec.sample_interval = Some(
-                    raw.as_u64()
-                        .ok_or("spec field 'sample_interval' must be an integer")?,
-                );
-            }
-        }
-        match v.get("seed_offset") {
-            None => {}
-            Some(raw) => {
-                spec.seed_offset = raw
-                    .as_u64()
-                    .ok_or("spec field 'seed_offset' must be an integer")?;
-            }
+        spec.sample_interval = spec_field(v, "sample_interval")?.flatten();
+        if let Some(n) = spec_field(v, "seed_offset")? {
+            spec.seed_offset = n;
         }
         Ok(spec)
     }
+}
+
+/// Read the spec key `key`: `None` when absent (the field keeps its
+/// default), an error naming the key when its value has the wrong type.
+/// Read an `Option<T>` for keys that may also be `null`.
+pub(crate) fn spec_field<T: Field>(v: &JsonValue, key: &str) -> Result<Option<T>, String> {
+    read_optional(v, key).map_err(|e| format!("spec: {e}"))
 }
 
 /// Which parameter ladder a sweep varies (the paper's sensitivity

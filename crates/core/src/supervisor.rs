@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
+use graphmem_telemetry::counters::read_field;
 use graphmem_telemetry::json::{JsonObject, JsonValue};
 use graphmem_telemetry::{EventKind, Tracer};
 
@@ -330,14 +331,10 @@ pub fn read_manifest(path: impl AsRef<Path>) -> Result<HashMap<String, RunReport
 
 fn parse_manifest_line(line: &str) -> Result<(String, RunReport), String> {
     let v = JsonValue::parse(line)?;
-    let hash = v
-        .get("hash")
-        .and_then(JsonValue::as_str)
-        .ok_or("manifest record lacks a 'hash' field")?
-        .to_string();
+    let hash = read_field(&v, "hash").map_err(|e| format!("manifest record: {e}"))?;
     let report = v
         .get("report")
-        .ok_or("manifest record lacks a 'report' field")?;
+        .ok_or("manifest record: field 'report' is missing")?;
     Ok((hash, RunReport::from_json_value(report)?))
 }
 

@@ -162,20 +162,26 @@ pub struct GovernorStats {
     pub denied_by_fragmentation: u64,
 }
 
-/// One epoch's decisions, in decision order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorEpochSample {
-    /// Simulated cycle at which the epoch closed.
-    pub cycle: u64,
-    /// Regions promoted this epoch.
-    pub promoted: u32,
-    /// Huge mappings demoted this epoch.
-    pub demoted: u32,
-    /// Promotions denied for lack of contiguity this epoch.
-    pub denied: u32,
-    /// Local-zone fragmentation level (fraction of free memory not
-    /// huge-allocatable) at epoch close.
-    pub fragmentation: f64,
+graphmem_telemetry::counters! {
+    /// One epoch's decisions, in decision order.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct GovernorEpochSample {
+        cumulative {
+            /// Simulated cycle at which the epoch closed.
+            cycle: u64,
+        }
+        gauge {
+            /// Regions promoted this epoch.
+            promoted: u32,
+            /// Huge mappings demoted this epoch.
+            demoted: u32,
+            /// Promotions denied for lack of contiguity this epoch.
+            denied: u32,
+            /// Local-zone fragmentation level (fraction of free memory not
+            /// huge-allocatable) at epoch close.
+            fragmentation: f64,
+        }
+    }
 }
 
 /// Governor daemon bookkeeping on a [`System`].

@@ -1,66 +1,45 @@
 //! OS-level event counters.
 
-/// Cumulative kernel event counts for a [`System`](crate::System).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OsStats {
-    /// Page faults handled.
-    pub faults: u64,
-    /// Faults satisfied with a huge page.
-    pub huge_faults: u64,
-    /// Faults satisfied with a base page.
-    pub base_faults: u64,
-    /// Faults that were huge-eligible but fell back to a base page
-    /// (no huge block free and compaction failed/disabled).
-    pub huge_fallbacks: u64,
-    /// Direct (fault-time) compaction invocations.
-    pub direct_compactions: u64,
-    /// Pageblocks freed by compaction (direct + khugepaged).
-    pub blocks_compacted: u64,
-    /// Frames migrated by compaction.
-    pub frames_migrated: u64,
-    /// Huge-page promotions performed by khugepaged.
-    pub promotions: u64,
-    /// khugepaged scan passes.
-    pub khugepaged_scans: u64,
-    /// Huge pages demoted (split) — swap pressure or explicit.
-    pub demotions: u64,
-    /// Huge pages demoted by the utilization daemon (bloat splits).
-    pub util_demotions: u64,
-    /// Untouched base frames reclaimed after utilization demotions.
-    pub bloat_frames_reclaimed: u64,
-    /// Frames written out to swap.
-    pub swap_outs: u64,
-    /// Frames read back from swap.
-    pub swap_ins: u64,
-    /// Page-cache frames reclaimed.
-    pub cache_reclaims: u64,
-    /// Frames loaded into the page cache.
-    pub cache_fills: u64,
-    /// Cycles spent inside the kernel (faults, compaction, reclaim, I/O).
-    pub kernel_cycles: u64,
-}
-
-impl OsStats {
-    /// Counter-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &OsStats) -> OsStats {
-        OsStats {
-            faults: self.faults - earlier.faults,
-            huge_faults: self.huge_faults - earlier.huge_faults,
-            base_faults: self.base_faults - earlier.base_faults,
-            huge_fallbacks: self.huge_fallbacks - earlier.huge_fallbacks,
-            direct_compactions: self.direct_compactions - earlier.direct_compactions,
-            blocks_compacted: self.blocks_compacted - earlier.blocks_compacted,
-            frames_migrated: self.frames_migrated - earlier.frames_migrated,
-            promotions: self.promotions - earlier.promotions,
-            khugepaged_scans: self.khugepaged_scans - earlier.khugepaged_scans,
-            demotions: self.demotions - earlier.demotions,
-            util_demotions: self.util_demotions - earlier.util_demotions,
-            bloat_frames_reclaimed: self.bloat_frames_reclaimed - earlier.bloat_frames_reclaimed,
-            swap_outs: self.swap_outs - earlier.swap_outs,
-            swap_ins: self.swap_ins - earlier.swap_ins,
-            cache_reclaims: self.cache_reclaims - earlier.cache_reclaims,
-            cache_fills: self.cache_fills - earlier.cache_fills,
-            kernel_cycles: self.kernel_cycles - earlier.kernel_cycles,
+graphmem_telemetry::counters! {
+    /// Cumulative kernel event counts for a [`System`](crate::System).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OsStats {
+        cumulative {
+            /// Page faults handled.
+            faults: u64,
+            /// Faults satisfied with a huge page.
+            huge_faults: u64,
+            /// Faults satisfied with a base page.
+            base_faults: u64,
+            /// Faults that were huge-eligible but fell back to a base page
+            /// (no huge block free and compaction failed/disabled).
+            huge_fallbacks: u64,
+            /// Direct (fault-time) compaction invocations.
+            direct_compactions: u64,
+            /// Pageblocks freed by compaction (direct + khugepaged).
+            blocks_compacted: u64,
+            /// Frames migrated by compaction.
+            frames_migrated: u64,
+            /// Huge-page promotions performed by khugepaged.
+            promotions: u64,
+            /// khugepaged scan passes.
+            khugepaged_scans: u64,
+            /// Huge pages demoted (split) — swap pressure or explicit.
+            demotions: u64,
+            /// Huge pages demoted by the utilization daemon (bloat splits).
+            util_demotions: u64,
+            /// Untouched base frames reclaimed after utilization demotions.
+            bloat_frames_reclaimed: u64,
+            /// Frames written out to swap.
+            swap_outs: u64,
+            /// Frames read back from swap.
+            swap_ins: u64,
+            /// Page-cache frames reclaimed.
+            cache_reclaims: u64,
+            /// Frames loaded into the page cache.
+            cache_fills: u64,
+            /// Cycles spent inside the kernel (faults, compaction, reclaim, I/O).
+            kernel_cycles: u64,
         }
     }
 }

@@ -47,6 +47,7 @@ use graphmem_core::{
     graphcache, run_supervised, Experiment, FaultPlan, GraphmemError, RunSpec, SupervisorConfig,
     SweepKind,
 };
+use graphmem_telemetry::counters::{self, Field};
 use graphmem_telemetry::json::{JsonObject, JsonValue};
 
 use jobs::{ConfigState, Job};
@@ -410,11 +411,13 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         }
         // Content negotiation: Prometheus scrapers ask for text/plain and
         // get the exposition format; everything else keeps the JSON body.
-        ("GET", "/metrics") if request.accept.contains("text/plain") => {
-            http::respond_text(&mut stream, 200, &MetricsSnapshot::take(state).prometheus())
-        }
+        ("GET", "/metrics") if request.accept.contains("text/plain") => http::respond_text(
+            &mut stream,
+            200,
+            &counters::prometheus(&MetricsSnapshot::take(state), "graphmem_"),
+        ),
         ("GET", "/metrics") => {
-            http::respond_json(&mut stream, 200, &MetricsSnapshot::take(state).json())
+            http::respond_json(&mut stream, 200, &MetricsSnapshot::take(state).to_json())
         }
         ("GET", "/healthz") => serve_health(state, &mut stream),
         ("POST" | "GET", _) => http::respond_json(&mut stream, 404, &error_body("no such route")),
@@ -473,20 +476,10 @@ fn submit_runs(state: &ServerState, stream: &mut TcpStream, body: &str) -> io::R
     state.jobs_submitted.fetch_add(1, Ordering::Relaxed);
     lock_clean(&state.jobs).insert(job.id, Arc::clone(&job));
 
-    let mut list = String::from("[");
-    for (i, hash) in hashes.iter().enumerate() {
-        if i > 0 {
-            list.push(',');
-        }
-        list.push('"');
-        list.push_str(hash);
-        list.push('"');
-    }
-    list.push(']');
     let mut o = JsonObject::new();
     o.field_u64("job", job.id);
     o.field_u64("total", job.total() as u64);
-    o.field_raw("hashes", &list);
+    o.field_raw("hashes", &hashes.json());
     http::respond_json(stream, 202, &o.finish())
 }
 
@@ -516,29 +509,13 @@ fn stream_job(state: &ServerState, stream: &mut TcpStream, id: &str) -> io::Resu
 fn serve_health(state: &ServerState, stream: &mut TcpStream) -> io::Result<()> {
     let degraded = state.store.is_degraded();
     let breakers = state.breakers.snapshot();
-    let mut reasons = String::from("[");
-    if let Some(reason) = state.store.degraded_reason() {
-        reasons.push('"');
-        reasons.push_str(&reason.replace('\\', "\\\\").replace('"', "\\\""));
-        reasons.push('"');
-    }
-    reasons.push(']');
-    let mut open = String::from("[");
-    for (i, hash) in breakers.open.iter().enumerate() {
-        if i > 0 {
-            open.push(',');
-        }
-        open.push('"');
-        open.push_str(hash);
-        open.push('"');
-    }
-    open.push(']');
+    let reasons: Vec<String> = state.store.degraded_reason().into_iter().collect();
     let mut o = JsonObject::new();
     o.field_bool("ok", !degraded);
     o.field_bool("degraded", degraded);
     o.field_u64("queue_depth", lock_clean(&state.queue).len() as u64);
-    o.field_raw("open_breakers", &open);
-    o.field_raw("reasons", &reasons);
+    o.field_raw("open_breakers", &breakers.open.json());
+    o.field_raw("reasons", &reasons.json());
     http::respond_json(stream, if degraded { 503 } else { 200 }, &o.finish())
 }
 
@@ -549,38 +526,80 @@ fn serve_result(state: &ServerState, stream: &mut TcpStream, hash: &str) -> io::
     }
 }
 
-/// One coherent-enough reading of every service metric, taken once and
-/// rendered as either JSON or the Prometheus text exposition so the two
-/// representations always agree field-for-field.
-#[derive(Debug, Clone, Copy)]
-struct MetricsSnapshot {
-    queue_depth: u64,
-    queue_capacity: u64,
-    workers: u64,
-    workers_busy: u64,
-    jobs_submitted: u64,
-    configs_completed: u64,
-    configs_failed: u64,
-    submissions_rejected: u64,
-    result_hits: u64,
-    result_misses: u64,
-    graph_cache_hits: u64,
-    graph_cache_misses: u64,
-    graph_cache_len: u64,
-    translation_memo_hits: u64,
-    translation_memo_misses: u64,
-    store_records_written: u64,
-    store_fsyncs: u64,
-    store_torn_tails_recovered: u64,
-    store_quarantined: u64,
-    store_corrupt_lines: u64,
-    store_degraded: u64,
-    breaker_open: u64,
-    breaker_trips: u64,
-    breaker_rejections: u64,
-    governor_promotions: u64,
-    governor_demotions: u64,
-    governor_denied: u64,
+graphmem_telemetry::counters! {
+    /// One coherent-enough reading of every service metric, taken once and
+    /// rendered as either JSON or the Prometheus text exposition so the two
+    /// representations always agree field-for-field. Each field's doc
+    /// comment is its Prometheus `# HELP` text and its section its `# TYPE`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MetricsSnapshot {
+        gauge {
+            /// Configs queued and not yet running
+            queue_depth: u64,
+            /// Queue size beyond which submissions are rejected
+            queue_capacity: u64,
+            /// Experiment worker threads
+            workers: u64,
+            /// Workers currently executing a config
+            workers_busy: u64,
+        }
+        cumulative {
+            /// Accepted POST /runs submissions
+            jobs_submitted: u64,
+            /// Configs finished successfully (including cached)
+            configs_completed: u64,
+            /// Configs that settled as failed
+            configs_failed: u64,
+            /// Submissions bounced with 429 (queue full)
+            submissions_rejected: u64,
+            /// Result-store lookups answered from cache
+            result_hits: u64,
+            /// Result-store lookups that required a run
+            result_misses: u64,
+            /// Prepared-graph cache hits
+            graph_cache_hits: u64,
+            /// Prepared-graph cache misses
+            graph_cache_misses: u64,
+        }
+        gauge {
+            /// Prepared graphs currently cached
+            graph_cache_len: u64,
+        }
+        cumulative {
+            /// Simulated accesses bulk-charged via a remembered translation
+            translation_memo_hits: u64,
+            /// Simulated accesses that performed a real MMU probe on the fast path
+            translation_memo_misses: u64,
+            /// Result records appended to durable shards
+            store_records_written: u64,
+            /// Explicit fsyncs issued by shard appends
+            store_fsyncs: u64,
+            /// Torn final shard records truncated at open or rolled back
+            store_torn_tails_recovered: u64,
+            /// Corrupt shard records moved to .quarantine sidecars
+            store_quarantined: u64,
+            /// Corrupt shard lines observed by reads
+            store_corrupt_lines: u64,
+        }
+        gauge {
+            /// 1 when the result store has flipped read-only
+            store_degraded: u64,
+            /// Config circuit breakers currently open or probing
+            breaker_open: u64,
+        }
+        cumulative {
+            /// Circuit breakers tripped open
+            breaker_trips: u64,
+            /// Submissions rejected by an open circuit breaker
+            breaker_rejections: u64,
+            /// Page-size governor promotions across executed governed configs
+            governor_promotions: u64,
+            /// Page-size governor demotions across executed governed configs
+            governor_demotions: u64,
+            /// Governor promotions denied by fragmentation (no contiguity)
+            governor_denied: u64,
+        }
+    }
 }
 
 impl MetricsSnapshot {
@@ -624,196 +643,6 @@ impl MetricsSnapshot {
             governor_demotions: state.governor_demotions.load(Ordering::Relaxed),
             governor_denied: state.governor_denied.load(Ordering::Relaxed),
         }
-    }
-
-    /// Name, value, kind, and help line for every metric, in a stable
-    /// order shared by both renderings.
-    fn rows(&self) -> Vec<(&'static str, u64, &'static str, &'static str)> {
-        vec![
-            (
-                "queue_depth",
-                self.queue_depth,
-                "gauge",
-                "Configs queued and not yet running",
-            ),
-            (
-                "queue_capacity",
-                self.queue_capacity,
-                "gauge",
-                "Queue size beyond which submissions are rejected",
-            ),
-            (
-                "workers",
-                self.workers,
-                "gauge",
-                "Experiment worker threads",
-            ),
-            (
-                "workers_busy",
-                self.workers_busy,
-                "gauge",
-                "Workers currently executing a config",
-            ),
-            (
-                "jobs_submitted",
-                self.jobs_submitted,
-                "counter",
-                "Accepted POST /runs submissions",
-            ),
-            (
-                "configs_completed",
-                self.configs_completed,
-                "counter",
-                "Configs finished successfully (including cached)",
-            ),
-            (
-                "configs_failed",
-                self.configs_failed,
-                "counter",
-                "Configs that settled as failed",
-            ),
-            (
-                "submissions_rejected",
-                self.submissions_rejected,
-                "counter",
-                "Submissions bounced with 429 (queue full)",
-            ),
-            (
-                "result_hits",
-                self.result_hits,
-                "counter",
-                "Result-store lookups answered from cache",
-            ),
-            (
-                "result_misses",
-                self.result_misses,
-                "counter",
-                "Result-store lookups that required a run",
-            ),
-            (
-                "graph_cache_hits",
-                self.graph_cache_hits,
-                "counter",
-                "Prepared-graph cache hits",
-            ),
-            (
-                "graph_cache_misses",
-                self.graph_cache_misses,
-                "counter",
-                "Prepared-graph cache misses",
-            ),
-            (
-                "graph_cache_len",
-                self.graph_cache_len,
-                "gauge",
-                "Prepared graphs currently cached",
-            ),
-            (
-                "translation_memo_hits",
-                self.translation_memo_hits,
-                "counter",
-                "Simulated accesses bulk-charged via a remembered translation",
-            ),
-            (
-                "translation_memo_misses",
-                self.translation_memo_misses,
-                "counter",
-                "Simulated accesses that performed a real MMU probe on the fast path",
-            ),
-            (
-                "store_records_written",
-                self.store_records_written,
-                "counter",
-                "Result records appended to durable shards",
-            ),
-            (
-                "store_fsyncs",
-                self.store_fsyncs,
-                "counter",
-                "Explicit fsyncs issued by shard appends",
-            ),
-            (
-                "store_torn_tails_recovered",
-                self.store_torn_tails_recovered,
-                "counter",
-                "Torn final shard records truncated at open or rolled back",
-            ),
-            (
-                "store_quarantined",
-                self.store_quarantined,
-                "counter",
-                "Corrupt shard records moved to .quarantine sidecars",
-            ),
-            (
-                "store_corrupt_lines",
-                self.store_corrupt_lines,
-                "counter",
-                "Corrupt shard lines observed by reads",
-            ),
-            (
-                "store_degraded",
-                self.store_degraded,
-                "gauge",
-                "1 when the result store has flipped read-only",
-            ),
-            (
-                "breaker_open",
-                self.breaker_open,
-                "gauge",
-                "Config circuit breakers currently open or probing",
-            ),
-            (
-                "breaker_trips",
-                self.breaker_trips,
-                "counter",
-                "Circuit breakers tripped open",
-            ),
-            (
-                "breaker_rejections",
-                self.breaker_rejections,
-                "counter",
-                "Submissions rejected by an open circuit breaker",
-            ),
-            (
-                "governor_promotions",
-                self.governor_promotions,
-                "counter",
-                "Page-size governor promotions across executed governed configs",
-            ),
-            (
-                "governor_demotions",
-                self.governor_demotions,
-                "counter",
-                "Page-size governor demotions across executed governed configs",
-            ),
-            (
-                "governor_denied",
-                self.governor_denied,
-                "counter",
-                "Governor promotions denied by fragmentation (no contiguity)",
-            ),
-        ]
-    }
-
-    fn json(&self) -> String {
-        let mut o = JsonObject::new();
-        for (name, value, _, _) in self.rows() {
-            o.field_u64(name, value);
-        }
-        o.finish()
-    }
-
-    /// The Prometheus text exposition (format version 0.0.4): one
-    /// `# HELP` / `# TYPE` / sample triplet per metric, `graphmem_`
-    /// prefixed.
-    fn prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value, kind, help) in self.rows() {
-            out.push_str(&format!(
-                "# HELP graphmem_{name} {help}\n# TYPE graphmem_{name} {kind}\ngraphmem_{name} {value}\n"
-            ));
-        }
-        out
     }
 }
 

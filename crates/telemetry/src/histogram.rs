@@ -10,7 +10,8 @@
 //! Like every observability type in this crate, recording never touches
 //! the simulated clock or any performance counter.
 
-use crate::json::{self, JsonObject, JsonValue};
+use crate::counters::{read_field, Cumulative, Field, FieldError};
+use crate::json::{JsonObject, JsonValue};
 
 /// A log₂-bucketed histogram of `u64` samples.
 ///
@@ -126,10 +127,7 @@ impl Histogram {
         let mut o = JsonObject::new();
         o.field_u64("count", self.count)
             .field_u64("sum", self.sum)
-            .field_raw(
-                "buckets",
-                &json::array(self.buckets.iter().map(|b| b.to_string())),
-            );
+            .field_raw("buckets", &self.buckets.json());
         o.finish()
     }
 
@@ -139,29 +137,7 @@ impl Histogram {
     ///
     /// Returns a message naming the missing or mistyped field.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let count = v
-            .get("count")
-            .and_then(JsonValue::as_u64)
-            .ok_or("histogram: missing count")?;
-        let sum = v
-            .get("sum")
-            .and_then(JsonValue::as_u64)
-            .ok_or("histogram: missing sum")?;
-        let buckets = v
-            .get("buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or("histogram: missing buckets")?
-            .iter()
-            .map(|b| {
-                b.as_u64()
-                    .ok_or_else(|| "histogram: bad bucket".to_string())
-            })
-            .collect::<Result<Vec<u64>, String>>()?;
-        Ok(Histogram {
-            buckets,
-            count,
-            sum,
-        })
+        Self::from_json(v).map_err(|e| format!("histogram: {e}"))
     }
 
     /// CSV rendering: `bucket_lo,bucket_hi,count` rows, header included.
@@ -172,6 +148,45 @@ impl Histogram {
             out.push_str(&format!("{lo},{hi},{c}\n"));
         }
         out
+    }
+}
+
+/// `since` yields the samples recorded in between (trailing empty
+/// buckets dropped, so `h.since(&h)` is empty); `accumulate` merges.
+impl Cumulative for Histogram {
+    fn since(&self, earlier: &Histogram) -> Histogram {
+        let mut buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| b - earlier.buckets.get(i).copied().unwrap_or(0))
+            .collect();
+        while buckets.last() == Some(&0) {
+            buckets.pop();
+        }
+        Histogram {
+            buckets,
+            count: self.count - earlier.count,
+            sum: self.sum - earlier.sum,
+        }
+    }
+
+    fn accumulate(&mut self, delta: &Histogram) {
+        self.merge(delta);
+    }
+}
+
+impl Field for Histogram {
+    fn json(&self) -> String {
+        self.to_json()
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
+        Ok(Histogram {
+            buckets: read_field(v, "buckets")?,
+            count: read_field(v, "count")?,
+            sum: read_field(v, "sum")?,
+        })
     }
 }
 

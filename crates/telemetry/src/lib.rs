@@ -16,7 +16,8 @@
 //!    final aggregate counters.
 //! 3. **Exporters**: JSONL for events, CSV for the time series, plus a tiny
 //!    dependency-free JSON writer ([`json`]) shared with
-//!    `RunReport::to_json`.
+//!    `RunReport::to_json`. Every counter set is declared once through
+//!    [`counters!`], which derives its delta and exact JSON codec.
 //!
 //! The handle type [`Tracer`] is a cheap clone (`Option<Arc<..>>`): a
 //! disabled tracer is `None`, so instrumented hot paths pay one branch and no
@@ -25,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod event;
 pub mod histogram;
 pub mod json;
@@ -32,6 +34,7 @@ pub mod memstate;
 pub mod metrics;
 pub mod trace;
 
+pub use counters::Counters;
 pub use event::{DemotionReason, Event, EventKind, EventMask, FaultOutcome, ReclaimKind, TlbLevel};
 pub use histogram::Histogram;
 pub use memstate::{MemStateSample, MemStateSeries};

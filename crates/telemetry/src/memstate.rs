@@ -14,90 +14,34 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::json::{self, JsonObject, JsonValue};
+use crate::counters::{read_field, Counters, Field, FieldError};
+use crate::json::{JsonObject, JsonValue};
 
-/// One snapshot of zone + mapping state at a simulated cycle.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemStateSample {
-    /// Simulated cycle the snapshot was taken at.
-    pub cycle: u64,
-    /// Free base frames in the zone.
-    pub free_frames: u64,
-    /// Fully-free huge blocks (order `huge_order` buddies).
-    pub free_huge_blocks: u64,
-    /// Fraction of free memory unusable for huge allocations (the paper's
-    /// §4.4.1 fragmentation metric; 0 = pristine, 1 = fully fragmented).
-    pub unusable_index: f64,
-    /// Free block counts per order, `buddy[o]` = free blocks of order `o`
-    /// (`/proc/buddyinfo` row for the zone).
-    pub buddy: Vec<u64>,
-    /// Huge-page coverage fraction per tracked region, aligned with
-    /// [`MemStateSeries::regions`]; may be shorter than the final region
-    /// list if regions were mapped after this sample.
-    pub coverage: Vec<f64>,
-}
-
-impl MemStateSample {
-    /// Serialize as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("cycle", self.cycle)
-            .field_u64("free_frames", self.free_frames)
-            .field_u64("free_huge_blocks", self.free_huge_blocks)
-            .field_f64("unusable_index", self.unusable_index)
-            .field_raw(
-                "buddy",
-                &json::array(self.buddy.iter().map(|b| b.to_string())),
-            )
-            .field_raw(
-                "coverage",
-                &json::array(self.coverage.iter().map(|c| json::number(*c))),
-            );
-        o.finish()
-    }
-
-    /// Rebuild from a parsed [`JsonValue`] (inverse of [`Self::to_json`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or mistyped field.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("memstate field '{k}' missing or not an integer"))
-        };
-        let buddy = v
-            .get("buddy")
-            .and_then(JsonValue::as_array)
-            .ok_or("memstate field 'buddy' missing")?
-            .iter()
-            .map(|b| {
-                b.as_u64()
-                    .ok_or_else(|| "memstate: bad buddy count".to_string())
-            })
-            .collect::<Result<Vec<u64>, String>>()?;
-        let coverage = v
-            .get("coverage")
-            .and_then(JsonValue::as_array)
-            .ok_or("memstate field 'coverage' missing")?
-            .iter()
-            .map(|c| {
-                c.as_f64()
-                    .ok_or_else(|| "memstate: bad coverage value".to_string())
-            })
-            .collect::<Result<Vec<f64>, String>>()?;
-        Ok(MemStateSample {
-            cycle: u("cycle")?,
-            free_frames: u("free_frames")?,
-            free_huge_blocks: u("free_huge_blocks")?,
-            unusable_index: v
-                .get("unusable_index")
-                .and_then(JsonValue::as_f64)
-                .ok_or("memstate field 'unusable_index' missing")?,
-            buddy,
-            coverage,
-        })
+crate::counters! {
+    /// One snapshot of zone + mapping state at a simulated cycle.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct MemStateSample {
+        cumulative {
+            /// Simulated cycle the snapshot was taken at.
+            cycle: u64,
+        }
+        gauge {
+            /// Free base frames in the zone.
+            free_frames: u64,
+            /// Fully-free huge blocks (order `huge_order` buddies).
+            free_huge_blocks: u64,
+            /// Fraction of free memory unusable for huge allocations (the
+            /// paper's §4.4.1 fragmentation metric; 0 = pristine, 1 = fully
+            /// fragmented).
+            unusable_index: f64,
+            /// Free block counts per order, `buddy[o]` = free blocks of order
+            /// `o` (`/proc/buddyinfo` row for the zone).
+            buddy: Vec<u64>,
+            /// Huge-page coverage fraction per tracked region, aligned with
+            /// [`MemStateSeries::regions`]; may be shorter than the final
+            /// region list if regions were mapped after this sample.
+            coverage: Vec<f64>,
+        }
     }
 }
 
@@ -154,18 +98,8 @@ impl MemStateSeries {
     /// Serialize as a JSON object: `{"regions":[…],"samples":[…]}`.
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
-        o.field_raw(
-            "regions",
-            &json::array(
-                self.regions
-                    .iter()
-                    .map(|r| format!("\"{}\"", json::escape(r))),
-            ),
-        )
-        .field_raw(
-            "samples",
-            &json::array(self.samples.iter().map(MemStateSample::to_json)),
-        );
+        o.field_raw("regions", &self.regions.json())
+            .field_raw("samples", &self.samples.json());
         o.finish()
     }
 
@@ -175,25 +109,7 @@ impl MemStateSeries {
     ///
     /// Returns a message naming the missing or mistyped field.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let regions = v
-            .get("regions")
-            .and_then(JsonValue::as_array)
-            .ok_or("memstate series field 'regions' missing")?
-            .iter()
-            .map(|r| {
-                r.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "memstate: bad region name".to_string())
-            })
-            .collect::<Result<Vec<String>, String>>()?;
-        let samples = v
-            .get("samples")
-            .and_then(JsonValue::as_array)
-            .ok_or("memstate series field 'samples' missing")?
-            .iter()
-            .map(MemStateSample::from_json_value)
-            .collect::<Result<Vec<MemStateSample>, String>>()?;
-        Ok(MemStateSeries { regions, samples })
+        Self::from_json(v).map_err(|e| format!("MemStateSeries: {e}"))
     }
 
     /// CSV rendering. Buddy columns are `buddy_o<order>`; coverage columns
@@ -206,7 +122,13 @@ impl MemStateSeries {
             .map(|s| s.buddy.len())
             .max()
             .unwrap_or(0);
-        let mut out = String::from("cycle,free_frames,free_huge_blocks,unusable_index");
+        // The scalar fields lead; `buddy` and `coverage` expand into one
+        // column per order / region.
+        let scalar_names = MemStateSample::FIELDS
+            .iter()
+            .zip(MemStateSample::default().scalars())
+            .filter_map(|(name, cell)| cell.map(|_| *name));
+        let mut out = scalar_names.collect::<Vec<_>>().join(",");
         for o in 0..orders {
             out.push_str(&format!(",buddy_o{o}"));
         }
@@ -215,10 +137,13 @@ impl MemStateSeries {
         }
         out.push('\n');
         for s in &self.samples {
-            out.push_str(&format!(
-                "{},{},{},{}",
-                s.cycle, s.free_frames, s.free_huge_blocks, s.unusable_index
-            ));
+            let cells: Vec<String> = s
+                .scalars()
+                .into_iter()
+                .flatten()
+                .map(|c| c.to_string())
+                .collect();
+            out.push_str(&cells.join(","));
             for o in 0..orders {
                 out.push_str(&format!(",{}", s.buddy.get(o).copied().unwrap_or(0)));
             }
@@ -241,6 +166,19 @@ impl MemStateSeries {
     pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_csv().as_bytes())
+    }
+}
+
+impl Field for MemStateSeries {
+    fn json(&self) -> String {
+        self.to_json()
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
+        Ok(MemStateSeries {
+            regions: read_field(v, "regions")?,
+            samples: read_field(v, "samples")?,
+        })
     }
 }
 

@@ -9,149 +9,84 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::json::JsonObject;
+use crate::counters::{read_field, Counters, Field, FieldError, Scalar};
+use crate::json::{JsonObject, JsonValue};
 
-macro_rules! metrics_sample {
-    (
-        cumulative { $($(#[$cmeta:meta])* $cum:ident),+ $(,)? }
-        gauges_u64 { $($(#[$gmeta:meta])* $gauge:ident),+ $(,)? }
-        gauges_f64 { $($(#[$fmeta:meta])* $fgauge:ident),+ $(,)? }
-    ) => {
-        /// One epoch snapshot: cumulative counters plus instantaneous gauges.
-        #[derive(Debug, Clone, Copy, Default, PartialEq)]
-        pub struct MetricsSample {
-            /// Simulated cycle at which the snapshot was taken.
-            pub cycle: u64,
-            $($(#[$cmeta])* pub $cum: u64,)+
-            $($(#[$gmeta])* pub $gauge: u64,)+
-            $($(#[$fmeta])* pub $fgauge: f64,)+
+crate::counters! {
+    /// One epoch snapshot: cumulative counters plus instantaneous gauges.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct MetricsSample {
+        cumulative {
+            /// Simulated cycle at which the snapshot was taken (a delta's
+            /// `cycle` is the epoch length).
+            cycle: u64,
+            /// Simulated memory accesses issued by the workload.
+            accesses: u64,
+            /// First-level DTLB misses.
+            dtlb_misses: u64,
+            /// Unified second-level TLB misses (page walks).
+            stlb_misses: u64,
+            /// PTE reads performed by page walks.
+            walk_pte_reads: u64,
+            /// Cycles spent in address translation.
+            translation_cycles: u64,
+            /// Page faults taken.
+            faults: u64,
+            /// Faults resolved with a huge page.
+            huge_faults: u64,
+            /// Huge-page faults that fell back to base pages.
+            huge_fallbacks: u64,
+            /// khugepaged promotions performed.
+            promotions: u64,
+            /// Huge mappings demoted (for swap or by the utilization daemon).
+            demotions: u64,
+            /// khugepaged scan passes.
+            khugepaged_scans: u64,
+            /// Direct-compaction attempts.
+            direct_compactions: u64,
+            /// Frames migrated by compaction.
+            frames_migrated: u64,
+            /// Pages written to swap.
+            swap_outs: u64,
+            /// Pages read back from swap.
+            swap_ins: u64,
+            /// Cycles charged to kernel work.
+            kernel_cycles: u64,
         }
-
-        impl MetricsSample {
-            /// Column names, in CSV column order.
-            pub const FIELDS: &'static [&'static str] = &[
-                "cycle",
-                $(stringify!($cum),)+
-                $(stringify!($gauge),)+
-                $(stringify!($fgauge),)+
-            ];
-
-            /// Values in [`Self::FIELDS`] order, rendered for CSV.
-            pub fn csv_row(&self) -> String {
-                let mut cols: Vec<String> = vec![self.cycle.to_string()];
-                $(cols.push(self.$cum.to_string());)+
-                $(cols.push(self.$gauge.to_string());)+
-                $(cols.push(format!("{:.6}", self.$fgauge));)+
-                cols.join(",")
-            }
-
-            /// The change since `earlier`: cumulative counters are
-            /// subtracted, gauges keep this sample's (later) value, and
-            /// `cycle` is the epoch length.
-            pub fn delta(&self, earlier: &MetricsSample) -> MetricsSample {
-                MetricsSample {
-                    cycle: self.cycle - earlier.cycle,
-                    $($cum: self.$cum - earlier.$cum,)+
-                    $($gauge: self.$gauge,)+
-                    $($fgauge: self.$fgauge,)+
-                }
-            }
-
-            /// Render as one JSON object.
-            pub fn to_json(&self) -> String {
-                let mut o = JsonObject::new();
-                o.field_u64("cycle", self.cycle);
-                $(o.field_u64(stringify!($cum), self.$cum);)+
-                $(o.field_u64(stringify!($gauge), self.$gauge);)+
-                $(o.field_f64(stringify!($fgauge), self.$fgauge);)+
-                o.finish()
-            }
-
-            /// Rebuild a sample from a parsed JSON object — the exact
-            /// inverse of [`Self::to_json`] (floats were written with
-            /// shortest-round-trip formatting, so the result is
-            /// bit-identical).
-            ///
-            /// # Errors
-            ///
-            /// Returns a message naming the first missing or mistyped field.
-            pub fn from_json_value(v: &crate::json::JsonValue) -> Result<MetricsSample, String> {
-                let u = |k: &str| {
-                    v.get(k)
-                        .and_then(crate::json::JsonValue::as_u64)
-                        .ok_or_else(|| format!("sample field '{k}' missing or not an integer"))
-                };
-                let f = |k: &str| {
-                    v.get(k)
-                        .and_then(crate::json::JsonValue::as_f64)
-                        .ok_or_else(|| format!("sample field '{k}' missing or not a number"))
-                };
-                Ok(MetricsSample {
-                    cycle: u("cycle")?,
-                    $($cum: u(stringify!($cum))?,)+
-                    $($gauge: u(stringify!($gauge))?,)+
-                    $($fgauge: f(stringify!($fgauge))?,)+
-                })
-            }
+        gauge {
+            /// Free frames in the workload's zone right now.
+            free_frames: u64,
+            /// Fully-free huge-page-sized blocks right now.
+            free_huge_blocks: u64,
+            /// Base-page mappings currently live.
+            base_pages_mapped: u64,
+            /// Huge-page mappings currently live.
+            huge_pages_mapped: u64,
+            /// Free-memory fragmentation index: 1 − (frames in fully-free huge
+            /// blocks / free frames). 0 = perfectly defragmented free memory.
+            fragmentation_index: f64,
+            /// Fraction of mapped bytes currently backed by huge pages.
+            huge_coverage: f64,
         }
-    };
-}
-
-metrics_sample! {
-    cumulative {
-        /// Simulated memory accesses issued by the workload.
-        accesses,
-        /// First-level DTLB misses.
-        dtlb_misses,
-        /// Unified second-level TLB misses (page walks).
-        stlb_misses,
-        /// PTE reads performed by page walks.
-        walk_pte_reads,
-        /// Cycles spent in address translation.
-        translation_cycles,
-        /// Page faults taken.
-        faults,
-        /// Faults resolved with a huge page.
-        huge_faults,
-        /// Huge-page faults that fell back to base pages.
-        huge_fallbacks,
-        /// khugepaged promotions performed.
-        promotions,
-        /// Huge mappings demoted (for swap or by the utilization daemon).
-        demotions,
-        /// khugepaged scan passes.
-        khugepaged_scans,
-        /// Direct-compaction attempts.
-        direct_compactions,
-        /// Frames migrated by compaction.
-        frames_migrated,
-        /// Pages written to swap.
-        swap_outs,
-        /// Pages read back from swap.
-        swap_ins,
-        /// Cycles charged to kernel work.
-        kernel_cycles,
-    }
-    gauges_u64 {
-        /// Free frames in the workload's zone right now.
-        free_frames,
-        /// Fully-free huge-page-sized blocks right now.
-        free_huge_blocks,
-        /// Base-page mappings currently live.
-        base_pages_mapped,
-        /// Huge-page mappings currently live.
-        huge_pages_mapped,
-    }
-    gauges_f64 {
-        /// Free-memory fragmentation index: 1 − (frames in fully-free huge
-        /// blocks / free frames). 0 = perfectly defragmented free memory.
-        fragmentation_index,
-        /// Fraction of mapped bytes currently backed by huge pages.
-        huge_coverage,
     }
 }
 
 impl MetricsSample {
+    /// Values in [`Counters::FIELDS`] order, rendered for CSV (floats to
+    /// six decimals).
+    pub fn csv_row(&self) -> String {
+        let cells: Vec<String> = self
+            .scalars()
+            .into_iter()
+            .flatten()
+            .map(|cell| match cell {
+                Scalar::Float(v) => format!("{v:.6}"),
+                int => int.to_string(),
+            })
+            .collect();
+        cells.join(",")
+    }
+
     /// DTLB misses per access over this (delta) sample; 0 when idle.
     pub fn dtlb_miss_rate(&self) -> f64 {
         ratio(self.dtlb_misses, self.accesses)
@@ -233,7 +168,7 @@ impl MetricsSeries {
         self.samples
             .iter()
             .scan(zero, |prev, s| {
-                let d = s.delta(prev);
+                let d = s.since(prev);
                 *prev = *s;
                 Some(d)
             })
@@ -260,11 +195,8 @@ impl MetricsSeries {
     /// Render as a JSON object (interval + array of samples).
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
-        o.field_u64("interval", self.interval);
-        o.field_raw(
-            "samples",
-            &crate::json::array(self.samples.iter().map(|s| s.to_json())),
-        );
+        o.field_u64("interval", self.interval)
+            .field_raw("samples", &self.samples.json());
         o.finish()
     }
 
@@ -274,20 +206,21 @@ impl MetricsSeries {
     /// # Errors
     ///
     /// Returns a message naming the first missing or mistyped field.
-    pub fn from_json_value(v: &crate::json::JsonValue) -> Result<MetricsSeries, String> {
-        let interval = v
-            .get("interval")
-            .and_then(crate::json::JsonValue::as_u64)
-            .ok_or("series field 'interval' missing or not an integer")?;
-        let raw = v
-            .get("samples")
-            .and_then(crate::json::JsonValue::as_array)
-            .ok_or("series field 'samples' missing or not an array")?;
-        let mut series = MetricsSeries::new(interval);
-        for s in raw {
-            series.push(MetricsSample::from_json_value(s)?);
-        }
-        Ok(series)
+    pub fn from_json_value(v: &JsonValue) -> Result<MetricsSeries, String> {
+        Self::from_json(v).map_err(|e| format!("MetricsSeries: {e}"))
+    }
+}
+
+impl Field for MetricsSeries {
+    fn json(&self) -> String {
+        self.to_json()
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
+        Ok(MetricsSeries {
+            interval: read_field(v, "interval")?,
+            samples: read_field(v, "samples")?,
+        })
     }
 }
 
@@ -466,7 +399,7 @@ mod tests {
         assert_eq!(z.dtlb_miss_rate(), 0.0);
         assert_eq!(z.stlb_miss_rate(), 0.0);
         assert_eq!(z.faults_per_mcycle(), 0.0);
-        let d = sample(200, 100, 4).delta(&sample(100, 50, 2));
+        let d = sample(200, 100, 4).since(&sample(100, 50, 2));
         assert_eq!(d.accesses, 50);
         assert_eq!(d.faults_per_mcycle(), 2.0 * 1e6 / 100.0);
     }

@@ -25,7 +25,6 @@
 //!
 //! [`PerfCounters`]: crate::PerfCounters
 
-use graphmem_telemetry::json::{self, JsonObject, JsonValue};
 use graphmem_telemetry::Histogram;
 
 use crate::addr::PageSize;
@@ -39,30 +38,34 @@ pub fn size_idx(size: PageSize) -> usize {
     }
 }
 
-/// Translation-cost counters for one region (VMA), split by the page size
-/// that translated each event (`[base, huge]`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegionCounters {
-    /// Accesses attributed to the region (faulting attempts count under
-    /// base, like every size-unknown event).
-    pub accesses: [u64; 2],
-    /// First-level DTLB misses.
-    pub dtlb_misses: [u64; 2],
-    /// DTLB misses that hit the unified STLB.
-    pub stlb_hits: [u64; 2],
-    /// DTLB misses that also missed the STLB → hardware page walks.
-    pub stlb_misses: [u64; 2],
-    /// PTE reads issued by the page walker on the region's behalf.
-    pub walk_pte_reads: [u64; 2],
-    /// Translation cycles (STLB penalties + successful walk cycles).
-    pub translation_cycles: [u64; 2],
-    /// Faults surfaced to the OS while accessing the region.
-    pub faults: u64,
-    /// Cycles burned by walks that ended in a fault (kept out of
-    /// [`Self::walk_latency`] so the histogram only holds completed walks).
-    pub fault_cycles: u64,
-    /// Log₂ histogram of successful page-walk latencies (cycles).
-    pub walk_latency: Histogram,
+graphmem_telemetry::counters! {
+    /// Translation-cost counters for one region (VMA), split by the page size
+    /// that translated each event (`[base, huge]`).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct RegionCounters {
+        cumulative {
+            /// Accesses attributed to the region (faulting attempts count under
+            /// base, like every size-unknown event).
+            accesses: [u64; 2],
+            /// First-level DTLB misses.
+            dtlb_misses: [u64; 2],
+            /// DTLB misses that hit the unified STLB.
+            stlb_hits: [u64; 2],
+            /// DTLB misses that also missed the STLB → hardware page walks.
+            stlb_misses: [u64; 2],
+            /// PTE reads issued by the page walker on the region's behalf.
+            walk_pte_reads: [u64; 2],
+            /// Translation cycles (STLB penalties + successful walk cycles).
+            translation_cycles: [u64; 2],
+            /// Faults surfaced to the OS while accessing the region.
+            faults: u64,
+            /// Cycles burned by walks that ended in a fault (kept out of
+            /// [`Self::walk_latency`] so the histogram only holds completed walks).
+            fault_cycles: u64,
+            /// Log₂ histogram of successful page-walk latencies (cycles).
+            walk_latency: Histogram,
+        }
+    }
 }
 
 impl RegionCounters {
@@ -106,65 +109,6 @@ impl RegionCounters {
             self.accesses[1] as f64 / total as f64
         }
     }
-
-    /// Serialize as a JSON object. `[base, huge]` pairs render as two-element
-    /// arrays.
-    pub fn to_json(&self) -> String {
-        let pair = |p: &[u64; 2]| json::array([p[0].to_string(), p[1].to_string()]);
-        let mut o = JsonObject::new();
-        o.field_raw("accesses", &pair(&self.accesses))
-            .field_raw("dtlb_misses", &pair(&self.dtlb_misses))
-            .field_raw("stlb_hits", &pair(&self.stlb_hits))
-            .field_raw("stlb_misses", &pair(&self.stlb_misses))
-            .field_raw("walk_pte_reads", &pair(&self.walk_pte_reads))
-            .field_raw("translation_cycles", &pair(&self.translation_cycles))
-            .field_u64("faults", self.faults)
-            .field_u64("fault_cycles", self.fault_cycles)
-            .field_raw("walk_latency", &self.walk_latency.to_json());
-        o.finish()
-    }
-
-    /// Rebuild from a parsed [`JsonValue`] (inverse of [`Self::to_json`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the missing or mistyped field.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let pair = |k: &str| -> Result<[u64; 2], String> {
-            let a = v
-                .get(k)
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("region counters: field '{k}' missing"))?;
-            if a.len() != 2 {
-                return Err(format!("region counters: field '{k}' must have 2 elements"));
-            }
-            Ok([
-                a[0].as_u64()
-                    .ok_or_else(|| format!("region counters: bad '{k}'"))?,
-                a[1].as_u64()
-                    .ok_or_else(|| format!("region counters: bad '{k}'"))?,
-            ])
-        };
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("region counters: field '{k}' missing"))
-        };
-        Ok(RegionCounters {
-            accesses: pair("accesses")?,
-            dtlb_misses: pair("dtlb_misses")?,
-            stlb_hits: pair("stlb_hits")?,
-            stlb_misses: pair("stlb_misses")?,
-            walk_pte_reads: pair("walk_pte_reads")?,
-            translation_cycles: pair("translation_cycles")?,
-            faults: u("faults")?,
-            fault_cycles: u("fault_cycles")?,
-            walk_latency: Histogram::from_json_value(
-                v.get("walk_latency")
-                    .ok_or("region counters: field 'walk_latency' missing")?,
-            )?,
-        })
-    }
 }
 
 /// The per-region attribution table owned by a
@@ -206,6 +150,7 @@ impl AttributionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphmem_telemetry::json::JsonValue;
 
     #[test]
     fn table_grows_on_demand_and_tracks_cursor() {

@@ -1,32 +1,36 @@
 //! Hardware performance counters, mirroring what the paper records with
 //! `perf` (TLB miss rates, STLB miss rates, page-walk activity).
 
-/// Cumulative hardware event counts for one [`MemorySystem`](crate::MemorySystem).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PerfCounters {
-    /// Data accesses performed (loads + stores).
-    pub accesses: u64,
-    /// Loads.
-    pub reads: u64,
-    /// Stores.
-    pub writes: u64,
-    /// First-level DTLB misses.
-    pub dtlb_misses: u64,
-    /// DTLB misses that hit the unified STLB.
-    pub stlb_hits: u64,
-    /// DTLB misses that also missed the STLB → hardware page walks.
-    pub stlb_misses: u64,
-    /// PTE reads issued by the page walker (after page-walk-cache skips).
-    pub walk_pte_reads: u64,
-    /// Cycles spent in address translation (STLB penalties + walk PTE
-    /// reads), i.e. the shaded overhead of the paper's Fig. 2.
-    pub translation_cycles: u64,
-    /// Cycles spent in data accesses after translation.
-    pub data_cycles: u64,
-    /// Data accesses serviced by each level: L1, L2, L3, DRAM.
-    pub data_level_hits: [u64; 4],
-    /// Faults surfaced to the OS (page not present / swapped).
-    pub faults: u64,
+graphmem_telemetry::counters! {
+    /// Cumulative hardware event counts for one [`MemorySystem`](crate::MemorySystem).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PerfCounters {
+        cumulative {
+            /// Data accesses performed (loads + stores).
+            accesses: u64,
+            /// Loads.
+            reads: u64,
+            /// Stores.
+            writes: u64,
+            /// First-level DTLB misses.
+            dtlb_misses: u64,
+            /// DTLB misses that hit the unified STLB.
+            stlb_hits: u64,
+            /// DTLB misses that also missed the STLB → hardware page walks.
+            stlb_misses: u64,
+            /// PTE reads issued by the page walker (after page-walk-cache skips).
+            walk_pte_reads: u64,
+            /// Cycles spent in address translation (STLB penalties + walk PTE
+            /// reads), i.e. the shaded overhead of the paper's Fig. 2.
+            translation_cycles: u64,
+            /// Cycles spent in data accesses after translation.
+            data_cycles: u64,
+            /// Data accesses serviced by each level: L1, L2, L3, DRAM.
+            data_level_hits: [u64; 4],
+            /// Faults surfaced to the OS (page not present / swapped).
+            faults: u64,
+        }
+    }
 }
 
 impl PerfCounters {
@@ -55,31 +59,6 @@ impl PerfCounters {
     /// Total cycles the memory system charged (translation + data).
     pub fn memory_cycles(&self) -> u64 {
         self.translation_cycles + self.data_cycles
-    }
-
-    /// Counter-wise difference `self - earlier` (both cumulative).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier` is not actually earlier.
-    pub fn since(&self, earlier: &PerfCounters) -> PerfCounters {
-        let mut lvl = [0u64; 4];
-        for (i, l) in lvl.iter_mut().enumerate() {
-            *l = self.data_level_hits[i] - earlier.data_level_hits[i];
-        }
-        PerfCounters {
-            accesses: self.accesses - earlier.accesses,
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            dtlb_misses: self.dtlb_misses - earlier.dtlb_misses,
-            stlb_hits: self.stlb_hits - earlier.stlb_hits,
-            stlb_misses: self.stlb_misses - earlier.stlb_misses,
-            walk_pte_reads: self.walk_pte_reads - earlier.walk_pte_reads,
-            translation_cycles: self.translation_cycles - earlier.translation_cycles,
-            data_cycles: self.data_cycles - earlier.data_cycles,
-            data_level_hits: lvl,
-            faults: self.faults - earlier.faults,
-        }
     }
 }
 

@@ -229,3 +229,66 @@ fn default_spec_config_hash_is_pinned() {
         .expect("default spec is valid");
     assert_fixture_section(ORACLE, "spec default", &format!("{hash}\n"));
 }
+
+/// A `graphmem run --json` report carrying every optional section
+/// (`series`, `attribution` with `memory`, `governor`), written by an
+/// earlier build and committed verbatim.
+const FULL_REPORT: &str = include_str!("golden/full_report.json");
+/// The result-store shard line (CRC-framed `{"hash":…,"report":…}`) that
+/// holds [`FULL_REPORT`].
+const FULL_REPORT_SHARD: &str = include_str!("golden/full_report_shard.jsonl");
+
+#[test]
+fn committed_report_parses_and_reserializes_byte_identically() {
+    let text = FULL_REPORT.trim_end_matches('\n');
+    let report = RunReport::from_json(text).expect("committed report parses");
+    for (section, present) in [
+        ("series", report.series.is_some()),
+        ("attribution", report.attribution.is_some()),
+        (
+            "attribution.memory",
+            report
+                .attribution
+                .as_ref()
+                .is_some_and(|a| a.memory.is_some()),
+        ),
+        ("governor", report.governor.is_some()),
+    ] {
+        assert!(present, "fixture lost its {section} section");
+    }
+    assert_eq!(report.to_json(), text);
+}
+
+#[test]
+fn committed_shard_line_parses_and_reframes_byte_identically() {
+    use graphmem_core::durable::{frame_record, parse_framed, Framed};
+    use graphmem_server::store::ResultStore;
+    use graphmem_telemetry::json::JsonValue;
+
+    let line = FULL_REPORT_SHARD.trim_end_matches('\n');
+    let Framed::Valid(payload) = parse_framed(line) else {
+        panic!("committed shard line fails its CRC");
+    };
+    let record = JsonValue::parse(payload).expect("shard payload is JSON");
+    let hash = record
+        .get("hash")
+        .and_then(JsonValue::as_str)
+        .expect("shard record names its hash");
+    let report = RunReport::from_json_value(record.get("report").expect("report"))
+        .expect("shard report parses");
+    let json = report.to_json();
+    assert_eq!(json, FULL_REPORT.trim_end_matches('\n'));
+    let reframed = frame_record(&format!("{{\"hash\":\"{hash}\",\"report\":{json}}}"));
+    assert_eq!(reframed, line);
+
+    // The store's own reader serves the same bytes from the old shard.
+    let dir = std::env::temp_dir().join(format!("graphmem_golden_shard_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let shard = format!("results-{}.jsonl", &hash[..1]);
+    std::fs::write(dir.join(shard), FULL_REPORT_SHARD).expect("write shard");
+    let store = ResultStore::open(Some(dir.clone()), 4).expect("store opens");
+    assert_eq!(store.get(hash).as_deref(), Some(json.as_str()));
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -83,3 +83,19 @@ fn metrics_negotiate_prometheus_text_and_agree_with_json() {
     }
     server.join();
 }
+
+/// `/metrics` bytes pinned for fixed counter values: the JSON body on the
+/// first line of the fixture, the Prometheus exposition after it.
+#[test]
+fn json_and_prometheus_bytes_are_pinned() {
+    const GOLDEN: &str = include_str!("golden/metrics_snapshot.txt");
+    let (json, prometheus) = GOLDEN.split_once('\n').expect("two renderings");
+    let snapshot =
+        graphmem_server::MetricsSnapshot::from_json_value(&JsonValue::parse(json).expect("json"))
+            .expect("golden values parse");
+    assert_eq!(snapshot.to_json(), json);
+    assert_eq!(
+        graphmem_telemetry::counters::prometheus(&snapshot, "graphmem_"),
+        prometheus
+    );
+}
