@@ -452,34 +452,41 @@ pub fn run_supervised(
             || lock_clean(&manifest_error).is_some()
     };
 
-    std::thread::scope(|scope| {
-        for _ in 0..config.threads.min(todo.len().max(1)) {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&index) = todo.get(t) else { return };
-                let outcome = if cancelled() {
-                    Err(FailureRecord {
-                        index,
-                        config_hash: hashes[index].clone(),
-                        attempts: 0,
-                        error: GraphmemError::Interrupted,
-                    })
-                } else {
-                    supervise_one(index, &experiments[index], &hashes[index], config)
-                };
-                if let Ok(report) = &outcome {
-                    if let Some(writer) = &manifest {
-                        let res = lock_clean(writer).append(&hashes[index], report);
-                        if let Err(e) = res {
-                            // First writer error wins; everything after
-                            // drains as Interrupted via `cancelled()`.
-                            lock_clean(&manifest_error).get_or_insert(e);
-                        }
-                    }
+    let work = || loop {
+        let t = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&index) = todo.get(t) else { return };
+        let outcome = if cancelled() {
+            Err(FailureRecord {
+                index,
+                config_hash: hashes[index].clone(),
+                attempts: 0,
+                error: GraphmemError::Interrupted,
+            })
+        } else {
+            supervise_one(index, &experiments[index], &hashes[index], config)
+        };
+        if let Ok(report) = &outcome {
+            if let Some(writer) = &manifest {
+                let res = lock_clean(writer).append(&hashes[index], report);
+                if let Err(e) = res {
+                    // First writer error wins; everything after
+                    // drains as Interrupted via `cancelled()`.
+                    lock_clean(&manifest_error).get_or_insert(e);
                 }
-                *lock_clean(&slots[index]) = Some(outcome);
-            });
+            }
         }
+        *lock_clean(&slots[index]) = Some(outcome);
+    };
+    // The calling thread is one of the workers, so a single-threaded run
+    // spawns nothing. A caller that runs one config at a time (the run
+    // server's workers) keeps every run on its own long-lived thread, and
+    // so in that thread's malloc arena rather than in whichever arena a
+    // fresh thread picks up.
+    std::thread::scope(|scope| {
+        for _ in 1..config.threads.min(todo.len().max(1)) {
+            scope.spawn(work);
+        }
+        work();
     });
 
     if let Some(e) = lock_clean(&manifest_error).take() {

@@ -3,7 +3,6 @@
 //! update it.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use graphmem_telemetry::json::JsonObject;
 
@@ -87,8 +86,7 @@ impl Job {
     }
 
     /// Block until config `index` reaches a terminal state, then return
-    /// it. Wakes periodically so a watcher never outlives the job's
-    /// progress by more than the poll interval even if a wakeup is lost.
+    /// it.
     pub fn wait_settled(&self, index: usize) -> ConfigState {
         let mut states = lock_clean(&self.states);
         loop {
@@ -98,12 +96,16 @@ impl Job {
                 Some(_) => {
                     states = self
                         .settled
-                        .wait_timeout(states, Duration::from_millis(500))
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .0;
+                        .wait(states)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
             }
         }
+    }
+
+    /// Whether every config has reached a terminal state.
+    pub fn is_settled(&self) -> bool {
+        lock_clean(&self.states).iter().all(ConfigState::is_settled)
     }
 
     /// A snapshot of every config's state.
@@ -221,5 +223,8 @@ mod tests {
         assert_eq!(snap[0], ConfigState::Done { cached: false });
         assert_eq!(snap[1], ConfigState::Running);
         assert_eq!(snap[2], ConfigState::Interrupted);
+        assert!(!job.is_settled(), "a running config keeps the job open");
+        job.set_state(1, ConfigState::Done { cached: false });
+        assert!(job.is_settled());
     }
 }

@@ -32,11 +32,12 @@ pub mod http;
 pub mod jobs;
 pub mod store;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -110,6 +111,24 @@ impl Default for ServerConfig {
     }
 }
 
+/// Settled jobs kept for `GET /runs/<id>` after they finish; older
+/// settled jobs are evicted (and answer `404`). Pending and running jobs
+/// are never evicted, so the table holds at most this many plus the jobs
+/// still in flight, which admission control bounds by the queue.
+const RETAINED_JOBS: usize = 1024;
+
+/// Parked connection handlers kept alive between connections; a handler
+/// that finishes while this many already wait exits instead. Each client
+/// holds one connection at a time (one request per connection), and its
+/// next connection can arrive before the previous handler has parked
+/// again, so a few clients keep about twice their number busy. Beyond
+/// that, a burst of concurrent streams shrinks back once it ends.
+const MAX_IDLE_HANDLERS: usize = 8;
+
+/// Pause after an `accept` error (EMFILE, ENFILE, ENOBUFS) so a persistent
+/// one cannot spin the accept loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
 /// One queued unit of work: a single config of a job.
 #[derive(Debug)]
 struct Task {
@@ -123,7 +142,8 @@ struct ServerState {
     queue: Mutex<VecDeque<Task>>,
     queue_cv: Condvar,
     queue_capacity: usize,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    /// Jobs by id; ids are monotonic, so iteration order is age order.
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     next_job: AtomicU64,
     store: ResultStore,
     shutdown: Arc<AtomicBool>,
@@ -175,13 +195,12 @@ impl Server {
         )?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let state = Arc::new(ServerState {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             queue_capacity: config.queue_capacity.max(1),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             next_job: AtomicU64::new(1),
             store,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -231,8 +250,16 @@ impl Server {
     /// Signal shutdown without blocking: stops accepting, cancels the
     /// supervisor's in-flight work cooperatively, wakes idle workers.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker checks it under the
+        // same lock before waiting, so it cannot miss the notify.
+        {
+            let _queue = lock_clean(&self.state.queue);
+            self.state.shutdown.store(true, Ordering::SeqCst);
+        }
         self.state.queue_cv.notify_all();
+        // The accept loop blocks in `accept`; one loopback connection wakes
+        // it to see the flag. Refused once the loop has already exited.
+        let _ = TcpStream::connect(wake_addr(self.addr));
     }
 
     /// Drain and stop: signal shutdown, join the accept loop and worker
@@ -279,9 +306,8 @@ fn worker_loop(state: &Arc<ServerState>) {
                 }
                 queue = state
                     .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .0;
+                    .wait(queue)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
         state.workers_busy.fetch_add(1, Ordering::SeqCst);
@@ -369,21 +395,99 @@ fn run_task(state: &ServerState, task: &Task) {
     task.job.set_state(task.index, settled);
 }
 
+/// Where [`Server::shutdown`] connects to wake the accept loop: the bound
+/// address, or loopback when bound to the unspecified address.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// Block in `accept` and hand each connection to a parked handler. The
+/// connection that wakes the loop after [`Server::shutdown`] is dropped
+/// unserved; returning drops the handlers' channel, which ends them.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
+    let handlers = Handlers::new(state);
     loop {
+        let accepted = listener.accept();
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let state = Arc::clone(state);
-                std::thread::spawn(move || handle_connection(&state, stream));
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+        match accepted {
+            Ok((stream, _)) => handlers.dispatch(stream),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
+    }
+}
+
+/// Connection handler threads, reused across connections. Each stream
+/// goes over one channel to a parked handler; a new handler is spawned
+/// only when none is parked, so a long-lived `GET /runs/<id>` stream never
+/// delays another connection.
+struct Handlers {
+    state: Arc<ServerState>,
+    streams: Sender<TcpStream>,
+    parked: Arc<Parked>,
+}
+
+/// What the handler threads share.
+struct Parked {
+    streams: Mutex<Receiver<TcpStream>>,
+    /// Parked handlers not yet claimed by a dispatched stream. Every
+    /// claimed stream has a handler bound to `recv` it.
+    idle: AtomicUsize,
+}
+
+impl Handlers {
+    fn new(state: &Arc<ServerState>) -> Handlers {
+        let (streams, rx) = mpsc::channel();
+        Handlers {
+            state: Arc::clone(state),
+            streams,
+            parked: Arc::new(Parked {
+                streams: Mutex::new(rx),
+                idle: AtomicUsize::new(0),
+            }),
+        }
+    }
+
+    fn dispatch(&self, stream: TcpStream) {
+        let claimed = self
+            .parked
+            .idle
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok();
+        if claimed {
+            // Cannot fail: `self.parked` keeps the receiver alive.
+            let _ = self.streams.send(stream);
+            return;
+        }
+        let (state, parked) = (Arc::clone(&self.state), Arc::clone(&self.parked));
+        std::thread::spawn(move || handler_loop(&state, &parked, stream));
+    }
+}
+
+/// Serve `stream`, then park for the next one; exit when enough handlers
+/// are parked already or the accept loop has dropped the channel.
+fn handler_loop(state: &ServerState, parked: &Parked, mut stream: TcpStream) {
+    loop {
+        handle_connection(state, stream);
+        let park = parked
+            .idle
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < MAX_IDLE_HANDLERS).then_some(n + 1)
+            });
+        if park.is_err() {
+            return;
+        }
+        stream = match lock_clean(&parked.streams).recv() {
+            Ok(next) => next,
+            Err(_) => return,
+        };
     }
 }
 
@@ -474,7 +578,7 @@ fn submit_runs(state: &ServerState, stream: &mut TcpStream, body: &str) -> io::R
     };
     state.queue_cv.notify_all();
     state.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    lock_clean(&state.jobs).insert(job.id, Arc::clone(&job));
+    retain_job(&mut lock_clean(&state.jobs), &job);
 
     let mut o = JsonObject::new();
     o.field_u64("job", job.id);
@@ -498,6 +602,22 @@ fn stream_job(state: &ServerState, stream: &mut TcpStream, id: &str) -> io::Resu
     }
     writeln!(stream, "{}", job.summary_row())?;
     stream.flush()
+}
+
+/// Add `job` to the table, then evict the oldest settled jobs beyond
+/// [`RETAINED_JOBS`]. Unsettled jobs stay whatever their age.
+fn retain_job(jobs: &mut BTreeMap<u64, Arc<Job>>, job: &Arc<Job>) {
+    jobs.insert(job.id, Arc::clone(job));
+    let excess = jobs.len().saturating_sub(RETAINED_JOBS);
+    let evict: Vec<u64> = jobs
+        .iter()
+        .filter(|(_, job)| job.is_settled())
+        .map(|(id, _)| *id)
+        .take(excess)
+        .collect();
+    for id in evict {
+        jobs.remove(&id);
+    }
 }
 
 /// `GET /healthz`: liveness plus degradation. `200 {"ok":true,…}` while
@@ -650,4 +770,51 @@ impl MetricsSnapshot {
 /// holding it.
 fn lock_clean<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job(id: u64, settled: bool) -> Arc<Job> {
+        let job = Arc::new(Job::new(id, vec![format!("{id:016x}")]));
+        if settled {
+            job.set_state(0, ConfigState::Done { cached: true });
+        }
+        job
+    }
+
+    #[test]
+    fn settled_jobs_beyond_retention_answer_404_and_unsettled_jobs_stay() {
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let addr = server.addr().to_string();
+        let running = job(1, false);
+        {
+            let mut jobs = lock_clean(&server.state.jobs);
+            retain_job(&mut jobs, &running);
+            for id in 2..=RETAINED_JOBS as u64 + 2 {
+                retain_job(&mut jobs, &job(id, true));
+            }
+            assert_eq!(jobs.len(), RETAINED_JOBS);
+            assert!(jobs.contains_key(&1), "an unsettled job is never evicted");
+            assert!(!jobs.contains_key(&2) && !jobs.contains_key(&3));
+        }
+        let (status, _) = http::request(&addr, "GET", "/runs/2", "").expect("evicted");
+        assert_eq!(status, 404, "an evicted settled job is gone");
+        let status = http::stream_lines(&addr, "/runs/4", |_| {}).expect("retained");
+        assert_eq!(status, 200, "a retained settled job still streams");
+
+        // Once settled, the oldest job is the next to go.
+        running.set_state(0, ConfigState::Done { cached: false });
+        let newest = RETAINED_JOBS as u64 + 3;
+        retain_job(&mut lock_clean(&server.state.jobs), &job(newest, true));
+        let (status, _) = http::request(&addr, "GET", "/runs/1", "").expect("evicted");
+        assert_eq!(status, 404);
+        server.join();
+    }
 }

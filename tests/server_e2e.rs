@@ -6,6 +6,8 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use graphmem_core::{FaultPlan, FaultSpec, IoFaultKind, IoFaultPlan};
 use graphmem_server::http;
@@ -33,6 +35,7 @@ fn start_server(cache_dir: Option<PathBuf>, queue: usize) -> (Server, String) {
 
 const SWEEP_BODY: &str =
     "{\"spec\":{\"dataset\":\"wiki\",\"kernel\":\"bfs\",\"scale\":11},\"sweep\":\"frag\"}";
+const ONE_CONFIG: &str = "{\"spec\":{\"dataset\":\"wiki\",\"kernel\":\"bfs\",\"scale\":11}}";
 
 /// Submit `body`, stream the job to completion, and return
 /// `(hash -> cached?, summary JSON)` for its configs.
@@ -278,7 +281,6 @@ fn enospc_degrades_the_store_and_healthz_answers_503_while_results_keep_serving(
 
 #[test]
 fn tripped_breaker_rejects_resubmission_with_circuit_open() {
-    const ONE_CONFIG: &str = "{\"spec\":{\"dataset\":\"wiki\",\"kernel\":\"bfs\",\"scale\":11}}";
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
@@ -386,5 +388,52 @@ fn shutdown_settles_every_config_and_ends_the_stream() {
         done + interrupted,
         total,
         "every config settled as done or interrupted: {summary:?}"
+    );
+}
+
+#[test]
+fn join_returns_on_an_idle_server_bound_to_loopback_or_any_address() {
+    // The accept loop blocks in `accept`; only the wake connection that
+    // shutdown sends lets `join` return. Bound to the unspecified address,
+    // the wake goes to loopback (some platforms refuse a connect to it).
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::start(ServerConfig {
+            addr: bind.to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let (joined_tx, joined_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = joined_tx.send(());
+        });
+        joined_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("join on an idle server bound to {bind} hangs"));
+    }
+}
+
+#[test]
+fn store_hit_round_trips_do_not_wait_on_a_clock() {
+    // Each round trip is three connections (POST, stream, fetch) answered
+    // from the store. A poll sleep anywhere on that path costs its period
+    // per connection; 20 trips with one 25 ms sleep per connection take
+    // 1.5 s, while event-driven waits finish them in a few milliseconds.
+    let (server, addr) = start_server(None, 64);
+    let (first, _) = run_job(&addr, ONE_CONFIG);
+    let hashes: Vec<&String> = first.keys().collect();
+
+    let start = Instant::now();
+    for _ in 0..20 {
+        let (hits, _) = run_job(&addr, ONE_CONFIG);
+        assert!(hits.values().all(|cached| *cached), "store hit: {hits:?}");
+        fetch_reports(&addr, &hashes);
+    }
+    let elapsed = start.elapsed();
+    server.join();
+    assert!(
+        elapsed < Duration::from_millis(750),
+        "20 store-hit round trips took {elapsed:?}"
     );
 }
