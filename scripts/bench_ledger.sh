@@ -2,7 +2,8 @@
 # Run the benchmark declared in BENCHMARK.json for one workload and seed,
 # then append one JSON line to BENCH_ledger.jsonl at the repository root:
 # the measured commit, a host fingerprint, the workload, the seed, the run
-# length and perfbench's final JSON line. The ledger is append-only.
+# length, the report digest and perfbench's final JSON line. The ledger is
+# append-only.
 #
 #   scripts/bench_ledger.sh WORKLOAD SEED [CHECKOUT]
 #
@@ -35,14 +36,16 @@ cpu=$(grep -m1 '^model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//')
 output=$(cd "$checkout" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
   --seconds "$seconds" --trace 0)
 result=$(printf '%s\n' "$output" | tail -n 1)
+digest=$(printf '%s\n' "$output" | sed -n 's/^# report digest //p')
 
 jq -cn \
   --arg commit "$commit" --argjson dirty "$dirty" \
   --arg cpu "$cpu" --argjson cores "$(nproc)" --arg kernel "$(uname -r)" \
   --arg workload "$workload" --argjson seed "$seed" --argjson seconds "$seconds" \
-  --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --argjson result "$result" \
+  --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg digest "$digest" \
+  --argjson result "$result" \
   '{commit: $commit, dirty: $dirty,
     host: {cpu: $cpu, cores: $cores, kernel: $kernel},
     workload: $workload, seed: $seed, seconds: $seconds, date: $date,
-    result: $result}' >> "$root/BENCH_ledger.jsonl"
+    digest: $digest, result: $result}' >> "$root/BENCH_ledger.jsonl"
 printf '%s\n' "$result"
