@@ -37,7 +37,6 @@ use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -117,16 +116,9 @@ impl Default for ServerConfig {
 /// still in flight, which admission control bounds by the queue.
 const RETAINED_JOBS: usize = 1024;
 
-/// Parked connection handlers kept alive between connections; a handler
-/// that finishes while this many already wait exits instead. Each client
-/// holds one connection at a time (one request per connection), and its
-/// next connection can arrive before the previous handler has parked
-/// again, so a few clients keep about twice their number busy. Beyond
-/// that, a burst of concurrent streams shrinks back once it ends.
-const MAX_IDLE_HANDLERS: usize = 8;
-
 /// Pause after an `accept` error (EMFILE, ENFILE, ENOBUFS) so a persistent
-/// one cannot spin the accept loop.
+/// one cannot spin the accept loop, and between failed wake connections in
+/// [`Server::join`].
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// One queued unit of work: a single config of a job.
@@ -250,6 +242,15 @@ impl Server {
     /// Signal shutdown without blocking: stops accepting, cancels the
     /// supervisor's in-flight work cooperatively, wakes idle workers.
     pub fn shutdown(&self) {
+        self.signal();
+        // The accept loop blocks in `accept`; one loopback connection wakes
+        // it to see the flag. Refused once the loop has already exited;
+        // [`Server::join`] retries a wake that fails for any other reason.
+        let _ = TcpStream::connect(wake_addr(self.addr));
+    }
+
+    /// Set the shutdown flag and wake idle workers.
+    fn signal(&self) {
         // Set the flag under the queue lock: a worker checks it under the
         // same lock before waiting, so it cannot miss the notify.
         {
@@ -257,20 +258,22 @@ impl Server {
             self.state.shutdown.store(true, Ordering::SeqCst);
         }
         self.state.queue_cv.notify_all();
-        // The accept loop blocks in `accept`; one loopback connection wakes
-        // it to see the flag. Refused once the loop has already exited.
-        let _ = TcpStream::connect(wake_addr(self.addr));
     }
 
-    /// Drain and stop: signal shutdown, join the accept loop and worker
-    /// pool, and settle every still-queued config as `interrupted` so
-    /// progress streams terminate. Completed results were flushed to the
+    /// Drain and stop: signal shutdown, join the worker pool, settle every
+    /// still-queued config as `interrupted` so progress streams terminate,
+    /// then join the accept loop. Completed results were flushed to the
     /// durable tier as they were produced.
-    pub fn join(mut self) {
-        self.shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+    pub fn join(self) {
+        self.join_waking_with(TcpStream::connect);
+    }
+
+    /// [`Server::join`], opening the accept loop's wake connections with
+    /// `connect`.
+    fn join_waking_with(mut self, mut connect: impl FnMut(SocketAddr) -> io::Result<TcpStream>) {
+        self.signal();
+        let wake = wake_addr(self.addr);
+        let mut woken = connect(wake).is_ok();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -280,6 +283,17 @@ impl Server {
         }
         for job in lock_clean(&self.state.jobs).values() {
             job.interrupt_pending();
+        }
+        if let Some(accept) = self.accept.take() {
+            // The wake connection fails while descriptors are exhausted
+            // (EMFILE, ENFILE). Every job has settled by now, so the
+            // progress streams holding descriptors are closing: retry
+            // until one wake connection lands or the loop has exited.
+            while !woken && !accept.is_finished() {
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                woken = connect(wake).is_ok();
+            }
+            let _ = accept.join();
         }
     }
 
@@ -407,87 +421,23 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Block in `accept` and hand each connection to a parked handler. The
+/// Block in `accept` and serve each connection on its own thread, so a
+/// long-lived `GET /runs/<id>` stream never delays another connection. The
 /// connection that wakes the loop after [`Server::shutdown`] is dropped
-/// unserved; returning drops the handlers' channel, which ends them.
+/// unserved.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    let handlers = Handlers::new(state);
     loop {
         let accepted = listener.accept();
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
         match accepted {
-            Ok((stream, _)) => handlers.dispatch(stream),
+            Ok((stream, _)) => {
+                let state = Arc::clone(state);
+                std::thread::spawn(move || handle_connection(&state, stream));
+            }
             Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
-    }
-}
-
-/// Connection handler threads, reused across connections. Each stream
-/// goes over one channel to a parked handler; a new handler is spawned
-/// only when none is parked, so a long-lived `GET /runs/<id>` stream never
-/// delays another connection.
-struct Handlers {
-    state: Arc<ServerState>,
-    streams: Sender<TcpStream>,
-    parked: Arc<Parked>,
-}
-
-/// What the handler threads share.
-struct Parked {
-    streams: Mutex<Receiver<TcpStream>>,
-    /// Parked handlers not yet claimed by a dispatched stream. Every
-    /// claimed stream has a handler bound to `recv` it.
-    idle: AtomicUsize,
-}
-
-impl Handlers {
-    fn new(state: &Arc<ServerState>) -> Handlers {
-        let (streams, rx) = mpsc::channel();
-        Handlers {
-            state: Arc::clone(state),
-            streams,
-            parked: Arc::new(Parked {
-                streams: Mutex::new(rx),
-                idle: AtomicUsize::new(0),
-            }),
-        }
-    }
-
-    fn dispatch(&self, stream: TcpStream) {
-        let claimed = self
-            .parked
-            .idle
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        if claimed {
-            // Cannot fail: `self.parked` keeps the receiver alive.
-            let _ = self.streams.send(stream);
-            return;
-        }
-        let (state, parked) = (Arc::clone(&self.state), Arc::clone(&self.parked));
-        std::thread::spawn(move || handler_loop(&state, &parked, stream));
-    }
-}
-
-/// Serve `stream`, then park for the next one; exit when enough handlers
-/// are parked already or the accept loop has dropped the channel.
-fn handler_loop(state: &ServerState, parked: &Parked, mut stream: TcpStream) {
-    loop {
-        handle_connection(state, stream);
-        let park = parked
-            .idle
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < MAX_IDLE_HANDLERS).then_some(n + 1)
-            });
-        if park.is_err() {
-            return;
-        }
-        stream = match lock_clean(&parked.streams).recv() {
-            Ok(next) => next,
-            Err(_) => return,
-        };
     }
 }
 
@@ -816,5 +766,31 @@ mod tests {
         let (status, _) = http::request(&addr, "GET", "/runs/1", "").expect("evicted");
         assert_eq!(status, 404);
         server.join();
+    }
+    #[test]
+    fn join_retries_a_wake_connection_that_fails() {
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut attempts = 0;
+            server.join_waking_with(|addr| {
+                attempts += 1;
+                if attempts == 1 {
+                    Err(io::Error::from_raw_os_error(24)) // EMFILE
+                } else {
+                    TcpStream::connect(addr)
+                }
+            });
+            let _ = done_tx.send(attempts);
+        });
+        let attempts = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("join hangs when its first wake connection fails");
+        assert_eq!(attempts, 2, "one failed wake, then one that lands");
     }
 }
