@@ -3,7 +3,8 @@
 //! Shared plumbing for the per-figure benchmark targets under `benches/`.
 //! Each target is a `harness = false` bench that prints the same rows or
 //! series the paper's corresponding figure/table reports, and also writes
-//! a CSV under `target/experiments/`.
+//! a CSV under the workspace's `target/experiments/` (or
+//! `$CARGO_TARGET_DIR/experiments/`).
 //!
 //! Run one figure:
 //!
@@ -22,9 +23,10 @@
 
 #![warn(missing_docs)]
 
+use std::ffi::OsString;
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use graphmem_graph::Dataset;
 use graphmem_workloads::Kernel;
@@ -105,12 +107,22 @@ impl Figure {
     }
 }
 
+/// The workspace root. `cargo bench` runs each bench with the package
+/// directory as its working directory, so relative paths start here.
+const WORKSPACE_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
 fn out_dir() -> PathBuf {
-    let dir =
-        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
-            .join("experiments");
+    let dir = experiments_dir(std::env::var_os("CARGO_TARGET_DIR"));
     let _ = fs::create_dir_all(&dir);
-    dir
+    fs::canonicalize(&dir).unwrap_or(dir)
+}
+
+/// `<target>/experiments`, where `<target>` is `target_dir`
+/// (`CARGO_TARGET_DIR`) or `target`; a relative one is taken from the
+/// workspace root.
+fn experiments_dir(target_dir: Option<OsString>) -> PathBuf {
+    let target = target_dir.unwrap_or_else(|| "target".into());
+    Path::new(WORKSPACE_ROOT).join(target).join("experiments")
 }
 
 /// Format a float with 3 decimals.
@@ -137,6 +149,25 @@ mod tests {
         // Not setting the env var here (tests run in parallel); just check
         // the default mapping.
         assert!(scale_for(Dataset::Kron25) >= 14);
+    }
+
+    #[test]
+    fn experiments_dir_is_anchored_at_the_workspace_root() {
+        let root = Path::new(WORKSPACE_ROOT);
+        assert!(root.join("Cargo.lock").is_file());
+        assert_eq!(
+            experiments_dir(None),
+            root.join("target").join("experiments")
+        );
+        assert_eq!(
+            experiments_dir(Some("target-bench".into())),
+            root.join("target-bench").join("experiments")
+        );
+        let absolute = std::env::temp_dir().join("graphmem-target");
+        assert_eq!(
+            experiments_dir(Some(absolute.clone().into())),
+            absolute.join("experiments")
+        );
     }
 
     #[test]

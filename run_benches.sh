@@ -1,28 +1,26 @@
 #!/bin/bash
 # Full paper-scale figure regeneration. Output tees to bench_output.txt.
 set -u
-export CARGO_TARGET_DIR=/root/repo/target-bench
-cd /root/repo
+root=$(cd "$(dirname "$0")" && pwd)
+export CARGO_TARGET_DIR="$root/target-bench"
+cd "$root"
 {
   echo "== graphmem full benchmark run (GRAPHMEM_SCALE=paper default) =="
   date
   cargo bench --workspace 2>&1
-  echo "== page-run fast-path headline -> BENCH_fastpath.json =="
-  GRAPHMEM_SCALE="${GRAPHMEM_HOTPATH_SCALE:-small}" \
-    cargo bench -p graphmem-bench --bench bench_fastpath 2>&1
   echo "== machine-readable headline reports -> bench_reports.jsonl =="
   cargo build --release --bin graphmem 2>&1
   GRAPHMEM="$CARGO_TARGET_DIR/release/graphmem"
-  : > /root/repo/bench_reports.jsonl
+  : > bench_reports.jsonl
   for policy in 4k thp selective:0.2; do
     "$GRAPHMEM" run --dataset kron --kernel bfs --policy "$policy" \
       --preprocess dbg --frag 0.5 --surplus 0.35 --json \
-      >> /root/repo/bench_reports.jsonl
+      >> bench_reports.jsonl
   done
   # One sampled run: epoch time series for the pressure-dynamics plots.
   "$GRAPHMEM" run --dataset kron --kernel bfs --policy thp --surplus 0.35 \
-    --sample-interval 1000000 --series /root/repo/bench_series.csv --json \
-    >> /root/repo/bench_reports.jsonl
+    --sample-interval 1000000 --series bench_series.csv --json \
+    >> bench_reports.jsonl
   echo "== done =="
   date
-} | tee /root/repo/bench_output.txt
+} | tee bench_output.txt
