@@ -703,5 +703,34 @@ mod tests {
             prop_assert_eq!(&back, &spec);
             prop_assert_eq!(back.to_json(), json);
         }
+
+        /// Property: lowering a spec equals the explicit setter chain —
+        /// the same Ok/Err outcome and, on Ok, the same `config_key`. This
+        /// pins which spec field lands in which experiment slot.
+        #[test]
+        fn to_experiment_matches_the_setter_chain(case in 0u32..u32::MAX) {
+            let mut rng = proptest::TestRng::for_case("runspec_lowering", case);
+            let spec = arb_spec(&mut rng);
+            let mut chain = Experiment::builder(spec.dataset, spec.kernel)
+                .plan(spec.plan)
+                .preprocessing(spec.preprocess)
+                .alloc_order(spec.order)
+                .condition(spec.condition)
+                .file_placement(spec.file)
+                .seed_offset(spec.seed_offset);
+            if let Some(s) = spec.scale {
+                chain = chain.scale(s);
+            }
+            if !spec.verify {
+                chain = chain.skip_verification();
+            }
+            if let Some(interval) = spec.sample_interval {
+                chain = chain.sample_interval(interval);
+            }
+            let key = |r: Result<Experiment, GraphmemError>| {
+                r.map(|e| e.config_key()).map_err(|e| e.to_string())
+            };
+            prop_assert_eq!(key(spec.to_experiment()), key(chain.build()));
+        }
     }
 }
