@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use graphmem_graph::{reorder, Csr, Dataset};
-use graphmem_os::{FilePlacement, GovernorConfig, System, SystemSpec, ThpMode};
+use graphmem_os::{FilePlacement, System, SystemSpec, ThpMode};
 use graphmem_telemetry::Tracer;
 use graphmem_workloads::{default_root, AllocOrder, GraphArrays, Kernel};
 
@@ -15,84 +15,82 @@ use crate::graphcache::{self, GraphKey};
 use crate::plan::PageSizePlan;
 use crate::policy::{PagePolicy, Preprocessing};
 use crate::report::{GovernorReport, RunReport};
+use crate::spec::RunSpec;
 
-/// Builder for one measured run: dataset × kernel × page policy ×
-/// preprocessing × allocation order × memory condition.
+/// One measured run: dataset × kernel × page policy × preprocessing ×
+/// allocation order × memory condition.
 ///
-/// See the crate-level example. `run` is deterministic for a given
+/// An `Experiment` is a [`RunSpec`] plus the run-local knobs the wire
+/// format does not carry: the huge-page order, the STLB size, a telemetry
+/// handle and the attribution flag. Chain setters from
+/// [`Self::builder`], then [`Self::build`] to check the configuration
+/// before any graph is generated. `run` is deterministic for a given
 /// configuration.
+///
+/// ```
+/// use graphmem_core::prelude::*;
+///
+/// let exp = Experiment::builder(Dataset::Wiki, Kernel::Bfs)
+///     .scale(11)
+///     .policy(PagePolicy::ThpSystemWide)
+///     .build()
+///     .expect("valid configuration");
+/// assert!(exp.run().verified);
+/// ```
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    dataset: Dataset,
-    kernel: Kernel,
-    scale: Option<u8>,
-    policy: PagePolicy,
-    preprocessing: Preprocessing,
-    order: AllocOrder,
-    condition: MemoryCondition,
-    file_placement: FilePlacement,
-    verify: bool,
+    spec: RunSpec,
     huge_order: u8,
-    khugepaged_enabled: Option<bool>,
-    khugepaged_interval: Option<u64>,
-    defrag_scan_blocks: Option<usize>,
-    governor: Option<GovernorConfig>,
     stlb_entries: Option<u32>,
-    seed_offset: u64,
     telemetry: Tracer,
-    sample_interval: Option<u64>,
     attribution: bool,
 }
 
 impl Experiment {
-    /// Start a validating [`ExperimentBuilder`] for `dataset` × `kernel`.
-    /// This is the supported construction path: every knob is checked once
-    /// at [`ExperimentBuilder::build`] time, so an `Experiment` in hand is
-    /// known-runnable (no panics later for out-of-range fractions or
-    /// impossible kernel/policy combinations).
-    pub fn builder(dataset: Dataset, kernel: Kernel) -> ExperimentBuilder {
-        ExperimentBuilder {
-            exp: Experiment::fresh(dataset, kernel),
+    /// Start an experiment for `dataset` × `kernel` with every other knob
+    /// at its default (for the spec knobs, [`RunSpec::default`]).
+    pub fn builder(dataset: Dataset, kernel: Kernel) -> Experiment {
+        Experiment::from_spec(RunSpec {
+            dataset,
+            kernel,
+            ..RunSpec::default()
+        })
+    }
+
+    /// Wrap `spec` with the run-local knobs at their defaults, unvalidated.
+    pub(crate) fn from_spec(spec: RunSpec) -> Self {
+        Experiment {
+            spec,
+            huge_order: 6,
+            stlb_entries: None,
+            telemetry: Tracer::disabled(),
+            attribution: false,
         }
     }
 
-    /// Unvalidated internal constructor backing [`Self::builder`].
-    pub(crate) fn fresh(dataset: Dataset, kernel: Kernel) -> Self {
-        Experiment {
-            dataset,
-            kernel,
-            scale: None,
-            policy: PagePolicy::BaseOnly,
-            preprocessing: Preprocessing::None,
-            order: AllocOrder::Natural,
-            condition: MemoryCondition::unbounded(),
-            file_placement: FilePlacement::TmpfsRemote,
-            verify: true,
-            huge_order: 6,
-            khugepaged_enabled: None,
-            khugepaged_interval: None,
-            defrag_scan_blocks: None,
-            governor: None,
-            stlb_entries: None,
-            seed_offset: 0,
-            telemetry: Tracer::disabled(),
-            sample_interval: None,
-            attribution: false,
-        }
+    /// Validate the assembled configuration and return it unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphmemError::InvalidConfig`] naming the first
+    /// out-of-range knob or impossible kernel/policy combination.
+    pub fn build(self) -> Result<Experiment, GraphmemError> {
+        self.validate()?;
+        Ok(self)
     }
 
     /// Override the graph scale (log2 vertices). Defaults to the dataset's
     /// standard experiment scale.
     pub fn scale(mut self, scale: u8) -> Self {
-        self.scale = Some(scale);
+        self.spec.scale = Some(scale);
         self
     }
 
-    /// Set the page-size policy. Sugar for a [`PageSizePlan`] that leaves
-    /// every kernel knob at its default; use [`Self::plan`] to set the
-    /// full page-size surface in one step.
+    /// Set the page-size policy, leaving the other [`PageSizePlan`] knobs
+    /// as they were; use [`Self::plan`] to set the full page-size surface
+    /// in one step.
     pub fn policy(mut self, policy: PagePolicy) -> Self {
-        self.policy = policy;
+        self.spec.plan.policy = policy;
         self
     }
 
@@ -100,41 +98,31 @@ impl Experiment {
     /// page-size surface — static policy, khugepaged overrides,
     /// compaction budget, and the closed-loop governor.
     pub fn plan(mut self, plan: PageSizePlan) -> Self {
-        self.policy = plan.policy;
-        self.khugepaged_enabled = plan.khugepaged_enabled;
-        self.khugepaged_interval = plan.khugepaged_interval;
-        self.defrag_scan_blocks = plan.defrag_scan_blocks;
-        self.governor = plan.governor;
+        self.spec.plan = plan;
         self
     }
 
     /// The page-size plan this experiment currently encodes (the inverse
     /// of [`Self::plan`]).
     pub fn page_size_plan(&self) -> PageSizePlan {
-        PageSizePlan {
-            policy: self.policy,
-            khugepaged_enabled: self.khugepaged_enabled,
-            khugepaged_interval: self.khugepaged_interval,
-            defrag_scan_blocks: self.defrag_scan_blocks,
-            governor: self.governor,
-        }
+        self.spec.plan
     }
 
     /// Set the preprocessing (vertex reordering).
     pub fn preprocessing(mut self, p: Preprocessing) -> Self {
-        self.preprocessing = p;
+        self.spec.preprocess = p;
         self
     }
 
     /// Set the first-touch order of the arrays.
     pub fn alloc_order(mut self, order: AllocOrder) -> Self {
-        self.order = order;
+        self.spec.order = order;
         self
     }
 
     /// Set the memory condition (pressure / fragmentation).
     pub fn condition(mut self, c: MemoryCondition) -> Self {
-        self.condition = c;
+        self.spec.condition = c;
         self
     }
 
@@ -143,7 +131,7 @@ impl Experiment {
     /// node); switch to `LocalPageCache` to study the single-use memory
     /// interference of §4.3.
     pub fn file_placement(mut self, fp: FilePlacement) -> Self {
-        self.file_placement = fp;
+        self.spec.file = fp;
         self
     }
 
@@ -158,14 +146,14 @@ impl Experiment {
     /// Disable output verification against the native twin (saves host
     /// time on very large sweeps; verification is on by default).
     pub fn skip_verification(mut self) -> Self {
-        self.verify = false;
+        self.spec.verify = false;
         self
     }
 
     /// Perturb the dataset's generator seed (robustness studies across
     /// random instances; 0 = the canonical instance).
     pub fn seed_offset(mut self, offset: u64) -> Self {
-        self.seed_offset = offset;
+        self.spec.seed_offset = offset;
         self
     }
 
@@ -193,7 +181,7 @@ impl Experiment {
     ///
     /// `run` panics if `interval` is zero.
     pub fn sample_interval(mut self, interval: u64) -> Self {
-        self.sample_interval = Some(interval);
+        self.spec.sample_interval = Some(interval);
         self
     }
 
@@ -209,32 +197,37 @@ impl Experiment {
 
     /// The dataset under test.
     pub fn dataset(&self) -> Dataset {
-        self.dataset
+        self.spec.dataset
     }
 
     /// The kernel under test.
     pub fn kernel(&self) -> Kernel {
-        self.kernel
+        self.spec.kernel
     }
 
     /// Generate (and optionally reorder) the input graph, through the
     /// process-wide [`graphcache::shared`] memo.
     fn prepare_graph(&self) -> (Arc<Csr>, u64) {
         let key = GraphKey {
-            dataset: self.dataset,
-            scale: self.scale.unwrap_or(self.dataset.default_scale()),
-            weighted: self.kernel.needs_weights(),
-            seed_offset: self.seed_offset,
-            preprocessing: self.preprocessing,
+            dataset: self.spec.dataset,
+            scale: self.spec.scale.unwrap_or(self.spec.dataset.default_scale()),
+            weighted: self.spec.kernel.needs_weights(),
+            seed_offset: self.spec.seed_offset,
+            preprocessing: self.spec.preprocess,
         };
         graphcache::shared().get_or_prepare(key, || self.prepare_graph_uncached(key.scale))
     }
 
     fn prepare_graph_uncached(&self, scale: u8) -> (Csr, u64) {
-        let csr =
-            self.dataset
-                .generate_with_seed(scale, self.kernel.needs_weights(), self.seed_offset);
-        match self.preprocessing {
+        let RunSpec {
+            dataset,
+            kernel,
+            seed_offset,
+            preprocess,
+            ..
+        } = self.spec;
+        let csr = dataset.generate_with_seed(scale, kernel.needs_weights(), seed_offset);
+        match preprocess {
             Preprocessing::None => (csr, 0),
             Preprocessing::Dbg => {
                 let cycles = reorder::dbg_preprocess_cycles(&csr);
@@ -258,9 +251,10 @@ impl Experiment {
 
     fn working_set_bytes(&self, csr: &Csr) -> u64 {
         let (vb, eb, wb) = csr.array_bytes();
-        let props = self.kernel.property_names().len() as u64;
+        let kernel = self.spec.kernel;
+        let props = kernel.property_names().len() as u64;
         let prop_bytes = props * csr.num_vertices() as u64 * 8;
-        vb + eb + if self.kernel.needs_weights() { wb } else { 0 } + prop_bytes
+        vb + eb + if kernel.needs_weights() { wb } else { 0 } + prop_bytes
     }
 
     /// A stable textual key covering every field that affects the
@@ -273,24 +267,24 @@ impl Experiment {
             // The trailing token named a second access pipeline, since
             // removed; it stays so every config keeps its hash.
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|Batched",
-            self.dataset,
-            self.kernel,
-            self.scale,
-            self.policy,
-            self.preprocessing,
-            self.order,
-            self.condition,
-            self.file_placement,
-            self.verify,
+            self.spec.dataset,
+            self.spec.kernel,
+            self.spec.scale,
+            self.spec.plan.policy,
+            self.spec.preprocess,
+            self.spec.order,
+            self.spec.condition,
+            self.spec.file,
+            self.spec.verify,
             self.huge_order,
-            self.khugepaged_enabled,
-            self.khugepaged_interval,
-            self.defrag_scan_blocks,
+            self.spec.plan.khugepaged_enabled,
+            self.spec.plan.khugepaged_interval,
+            self.spec.plan.defrag_scan_blocks,
             self.stlb_entries,
-            self.seed_offset,
-            self.sample_interval,
+            self.spec.seed_offset,
+            self.spec.sample_interval,
         );
-        if let Some(g) = &self.governor {
+        if let Some(g) = &self.spec.plan.governor {
             key.push_str(&format!("|gov={g}"));
         }
         key
@@ -310,19 +304,25 @@ impl Experiment {
     }
 
     /// Check every knob and kernel/policy combination, returning the
-    /// first problem found. [`ExperimentBuilder::build`] calls this so an
-    /// invalid configuration is rejected before any graph is generated;
-    /// [`Self::try_run`] re-checks so experiments assembled through the
-    /// legacy chained setters get the same diagnostics.
+    /// first problem found. [`Self::build`] calls this so an invalid
+    /// configuration is rejected before any graph is generated;
+    /// [`Self::try_run`] re-checks because setters may still be chained
+    /// after `build`.
     fn validate(&self) -> Result<(), GraphmemError> {
         let invalid = |msg: String| Err(GraphmemError::InvalidConfig(msg));
-        if let Some(interval) = self.sample_interval {
-            if interval == 0 {
-                return invalid("sample interval must be positive".into());
-            }
+        let RunSpec {
+            kernel,
+            scale,
+            plan,
+            condition,
+            sample_interval,
+            ..
+        } = &self.spec;
+        if *sample_interval == Some(0) {
+            return invalid("sample interval must be positive".into());
         }
-        if let Some(scale) = self.scale {
-            if !(4..=30).contains(&scale) {
+        if let Some(scale) = scale {
+            if !(4..=30).contains(scale) {
                 return invalid(format!("scale {scale} outside the supported 4..=30 (log2)"));
             }
         }
@@ -334,31 +334,31 @@ impl Experiment {
         }
         // The whole page-size surface validates through the plan — one
         // path whether the knobs arrived via plan() or policy().
-        self.page_size_plan().validate()?;
+        plan.validate()?;
         // Only the kernel-dependent combination check lives outside it.
-        if matches!(self.policy, PagePolicy::PerArray { values: true, .. })
-            && !self.kernel.needs_weights()
+        if matches!(plan.policy, PagePolicy::PerArray { values: true, .. })
+            && !kernel.needs_weights()
         {
             return invalid(format!(
                 "policy advises the values array but kernel {} is unweighted",
-                self.kernel.name()
+                kernel.name()
             ));
         }
-        if !(0.0..=1.0).contains(&self.condition.fragmentation) {
+        if !(0.0..=1.0).contains(&condition.fragmentation) {
             return invalid(format!(
                 "fragmentation {} outside 0..=1",
-                self.condition.fragmentation
+                condition.fragmentation
             ));
         }
-        if !(0.0..=1.0).contains(&self.condition.noise_occupancy) {
+        if !(0.0..=1.0).contains(&condition.noise_occupancy) {
             return invalid(format!(
                 "noise occupancy {} outside 0..=1",
-                self.condition.noise_occupancy
+                condition.noise_occupancy
             ));
         }
         // Negative surpluses are legitimate: they model oversubscription
         // (RAM below the working set, the paper's swap-thrashing regime).
-        if let Surplus::FractionOfWss(f) = self.condition.surplus {
+        if let Surplus::FractionOfWss(f) = condition.surplus {
             if !f.is_finite() {
                 return invalid(format!("surplus fraction {f} must be finite"));
             }
@@ -406,14 +406,14 @@ impl Experiment {
         // cushion so Memhog always has something to pin.
         let node_mb = (wss * 3 / (1 << 20) + 64).max(64);
         let mut spec = SystemSpec::scaled_with_order(node_mb, self.huge_order);
-        spec.file_placement = self.file_placement;
-        if let Some(e) = self.khugepaged_enabled {
+        spec.file_placement = self.spec.file;
+        if let Some(e) = self.spec.plan.khugepaged_enabled {
             spec.thp.khugepaged.enabled = e;
         }
-        if let Some(i) = self.khugepaged_interval {
+        if let Some(i) = self.spec.plan.khugepaged_interval {
             spec.thp.khugepaged.scan_interval_cycles = i;
         }
-        if let Some(b) = self.defrag_scan_blocks {
+        if let Some(b) = self.spec.plan.defrag_scan_blocks {
             spec.thp.fault_defrag = b > 0;
             spec.thp.defrag_scan_blocks = b;
         }
@@ -438,7 +438,7 @@ impl Experiment {
         if self.telemetry.is_enabled() {
             sys.attach_telemetry(self.telemetry.clone());
         }
-        if let Some(interval) = self.sample_interval {
+        if let Some(interval) = self.spec.sample_interval {
             sys.enable_sampling(interval);
         }
         if self.attribution {
@@ -446,7 +446,7 @@ impl Experiment {
             // arrays alike get charged from their first touch.
             sys.enable_attribution(true);
         }
-        if let Some(g) = self.governor {
+        if let Some(g) = self.spec.plan.governor {
             // After the explicit attribution toggle: enable_governor only
             // forces attribution on when the user didn't ask for it, so
             // the order user-attribution-then-governor never resets
@@ -459,7 +459,7 @@ impl Experiment {
             // Boot-time reservation: before any pressure or fragmentation
             // exists (that is the whole point of the mechanism, §2.3).
             let huge_bytes = 4096u64 << self.huge_order;
-            let props = self.kernel.property_names().len() as u64;
+            let props = self.spec.kernel.property_names().len() as u64;
             let pages = (props * csr.num_vertices() as u64 * 8).div_ceil(huge_bytes) + props; // rounding slack per array
             let got = sys.hugetlb_reserve(pages);
             if got != pages {
@@ -468,22 +468,22 @@ impl Experiment {
                 )));
             }
         }
-        let _artifacts = self.condition.try_apply(&mut sys, wss)?;
+        let _artifacts = self.spec.condition.try_apply(&mut sys, wss)?;
 
-        let mut arrays = GraphArrays::map_with(&mut sys, csr, self.kernel, hugetlb_property);
+        let mut arrays = GraphArrays::map_with(&mut sys, csr, self.spec.kernel, hugetlb_property);
         Self::apply_advice(policy, &mut sys, &arrays);
 
         let cp_init = sys.checkpoint();
-        arrays.initialize(&mut sys, self.order);
+        arrays.initialize(&mut sys, self.spec.order);
         let (init_cycles, _, _) = sys.since(&cp_init);
 
         let root = default_root(csr);
         let cp_compute = sys.checkpoint();
-        let output = self.kernel.run_simulated(&mut sys, &mut arrays, root);
+        let output = self.spec.kernel.run_simulated(&mut sys, &mut arrays, root);
         let (compute_cycles, perf, _) = sys.since(&cp_compute);
 
-        let verified = if self.verify {
-            output == self.kernel.run_native(csr, root)
+        let verified = if self.spec.verify {
+            output == self.spec.kernel.run_native(csr, root)
         } else {
             true
         };
@@ -514,6 +514,8 @@ impl Experiment {
         };
         let governor = sys.governor_stats().map(|stats| GovernorReport {
             config: self
+                .spec
+                .plan
                 .governor
                 .expect("governor stats only exist when configured")
                 .to_string(),
@@ -529,15 +531,15 @@ impl Experiment {
 
         Ok(RunReport {
             labels: [
-                self.dataset.name().to_string(),
-                self.kernel.name().to_string(),
-                if matches!(self.policy, PagePolicy::AutoSelective { .. }) {
-                    format!("{}->{}", self.policy.label(), policy.label())
+                self.spec.dataset.name().to_string(),
+                self.spec.kernel.name().to_string(),
+                if matches!(self.spec.plan.policy, PagePolicy::AutoSelective { .. }) {
+                    format!("{}->{}", self.spec.plan.policy.label(), policy.label())
                 } else {
                     policy.label()
                 },
-                self.preprocessing.label().to_string(),
-                self.condition.label(),
+                self.spec.preprocess.label().to_string(),
+                self.spec.condition.label(),
             ],
             init_cycles,
             compute_cycles,
@@ -557,7 +559,7 @@ impl Experiment {
 
     /// Resolve an automatic policy against the (reordered) input graph.
     fn resolve_policy(&self, csr: &Csr) -> PagePolicy {
-        match self.policy {
+        match self.spec.plan.policy {
             PagePolicy::AutoSelective { coverage } => {
                 let huge_bytes = 4096u64 << self.huge_order;
                 let profile = HotnessProfile::from_graph(csr, 8, huge_bytes);
@@ -616,123 +618,10 @@ impl Experiment {
     }
 }
 
-/// Fallible builder for [`Experiment`]: collects the same knobs as the
-/// chained setters, then checks every value and kernel/policy combination
-/// once in [`Self::build`]. Obtained from [`Experiment::builder`].
-///
-/// ```
-/// use graphmem_core::prelude::*;
-///
-/// let exp = Experiment::builder(Dataset::Wiki, Kernel::Bfs)
-///     .scale(11)
-///     .policy(PagePolicy::ThpSystemWide)
-///     .build()
-///     .expect("valid configuration");
-/// assert!(exp.run().verified);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ExperimentBuilder {
-    exp: Experiment,
-}
-
-impl ExperimentBuilder {
-    /// Override the graph scale (log2 vertices).
-    pub fn scale(mut self, scale: u8) -> Self {
-        self.exp = self.exp.scale(scale);
-        self
-    }
-
-    /// Set the page-size policy (sugar for a plan with default knobs;
-    /// see [`Self::plan`]).
-    pub fn policy(mut self, policy: PagePolicy) -> Self {
-        self.exp = self.exp.policy(policy);
-        self
-    }
-
-    /// Apply a [`PageSizePlan`]: the single entry point for the whole
-    /// page-size surface — static policy, khugepaged overrides,
-    /// compaction budget, and the closed-loop governor.
-    pub fn plan(mut self, plan: PageSizePlan) -> Self {
-        self.exp = self.exp.plan(plan);
-        self
-    }
-
-    /// Set the preprocessing (vertex reordering).
-    pub fn preprocessing(mut self, p: Preprocessing) -> Self {
-        self.exp = self.exp.preprocessing(p);
-        self
-    }
-
-    /// Set the first-touch order of the arrays.
-    pub fn alloc_order(mut self, order: AllocOrder) -> Self {
-        self.exp = self.exp.alloc_order(order);
-        self
-    }
-
-    /// Set the memory condition (pressure / fragmentation).
-    pub fn condition(mut self, c: MemoryCondition) -> Self {
-        self.exp = self.exp.condition(c);
-        self
-    }
-
-    /// Set how graph files are loaded.
-    pub fn file_placement(mut self, fp: FilePlacement) -> Self {
-        self.exp = self.exp.file_placement(fp);
-        self
-    }
-
-    /// Override the huge-page buddy order of the simulated machine.
-    pub fn huge_order(mut self, order: u8) -> Self {
-        self.exp = self.exp.huge_order(order);
-        self
-    }
-
-    /// Disable output verification against the native twin.
-    pub fn skip_verification(mut self) -> Self {
-        self.exp = self.exp.skip_verification();
-        self
-    }
-
-    /// Perturb the dataset's generator seed.
-    pub fn seed_offset(mut self, offset: u64) -> Self {
-        self.exp = self.exp.seed_offset(offset);
-        self
-    }
-
-    /// Ablation knob: override the unified STLB entry count.
-    pub fn stlb_entries(mut self, entries: u32) -> Self {
-        self.exp = self.exp.stlb_entries(entries);
-        self
-    }
-
-    /// Attach a telemetry [`Tracer`].
-    pub fn telemetry(mut self, tracer: Tracer) -> Self {
-        self.exp = self.exp.telemetry(tracer);
-        self
-    }
-
-    /// Sample epoch metrics every `interval` simulated cycles.
-    pub fn sample_interval(mut self, interval: u64) -> Self {
-        self.exp = self.exp.sample_interval(interval);
-        self
-    }
-
-    /// Validate the assembled configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphmemError::InvalidConfig`] naming the first
-    /// out-of-range knob or impossible kernel/policy combination.
-    pub fn build(self) -> Result<Experiment, GraphmemError> {
-        self.exp.validate()?;
-        Ok(self.exp)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::Surplus;
+    use graphmem_os::GovernorConfig;
 
     /// Small but huge-page-meaningful: 32 Ki vertices with 64 KiB huge
     /// pages, so the property array spans 4 huge pages.
@@ -754,7 +643,7 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_knobs_up_front() {
-        let bad = |b: ExperimentBuilder| {
+        let bad = |b: Experiment| {
             let err = b.build().expect_err("must be rejected");
             assert!(matches!(err, GraphmemError::InvalidConfig(_)), "{err}");
         };
@@ -791,6 +680,30 @@ mod tests {
             .condition(MemoryCondition::pressured(Surplus::FractionOfWss(-0.06)))
             .build()
             .is_ok());
+        // Attribution is observation, set like any other knob before build.
+        assert!(Experiment::builder(Dataset::Wiki, Kernel::Bfs)
+            .attribution(true)
+            .build()
+            .is_ok());
+        // A setter chained after build is re-checked by try_run, before
+        // any graph is prepared: nothing lands in the graph cache.
+        let seed_offset = 0x5ca1e2;
+        let err = Experiment::builder(Dataset::Wiki, Kernel::Bfs)
+            .seed_offset(seed_offset)
+            .build()
+            .expect("valid before the bad setter")
+            .scale(2)
+            .try_run()
+            .expect_err("scale 2 rejected at run time");
+        assert!(matches!(err, GraphmemError::InvalidConfig(_)), "{err}");
+        let key = GraphKey {
+            dataset: Dataset::Wiki,
+            scale: 2,
+            weighted: false,
+            seed_offset,
+            preprocessing: Preprocessing::None,
+        };
+        assert!(graphcache::shared().get(&key).is_none());
     }
 
     #[test]

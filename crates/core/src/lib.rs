@@ -16,9 +16,10 @@
 //! * [`MemoryCondition`] — reproducible memory pressure (memhog),
 //!   non-movable fragmentation (the `frag` utility), and movable
 //!   background noise, matching the paper's §4.3–4.4 methodology.
-//! * [`Experiment`] — a builder that wires a dataset, kernel, policy, and
-//!   memory condition into one measured run, returning a [`RunReport`]
-//!   with runtimes, TLB miss rates, and huge-page usage.
+//! * [`Experiment`] — one measured run: a [`RunSpec`] (dataset, kernel,
+//!   policy, memory condition, …) plus run-local knobs, set through
+//!   chained setters and returning a [`RunReport`] with runtimes, TLB
+//!   miss rates, and huge-page usage.
 //! * [`sweep`] — parameter sweeps used by the figure-reproduction harness.
 //! * [`supervisor`] — fault-tolerant sweep orchestration: panic
 //!   isolation, retry with backoff, watchdog timeouts, JSONL
@@ -77,7 +78,7 @@ pub use breaker::{BreakerConfig, BreakerDecision, BreakerSnapshot, CircuitBreake
 pub use condition::{MemoryCondition, Surplus};
 pub use durable::{DurableAppender, FsyncPolicy, IoFaultKind, IoFaultPlan};
 pub use error::GraphmemError;
-pub use experiment::{Experiment, ExperimentBuilder};
+pub use experiment::Experiment;
 pub use graphcache::PreparedGraphCache;
 pub use graphmem_os::GovernorConfig;
 pub use plan::PageSizePlan;
@@ -98,7 +99,7 @@ pub mod prelude {
     pub use crate::attribution::{AttributionReport, RegionReport};
     pub use crate::condition::{MemoryCondition, Surplus};
     pub use crate::error::GraphmemError;
-    pub use crate::experiment::{Experiment, ExperimentBuilder};
+    pub use crate::experiment::Experiment;
     pub use crate::plan::PageSizePlan;
     pub use crate::policy::{PagePolicy, Preprocessing};
     pub use crate::report::{GovernorReport, RunReport};

@@ -7,9 +7,8 @@
 //! setters, the compaction budget a third path, and the page-size
 //! governor would have added a fourth. A [`PageSizePlan`] collapses them
 //! into one value with one validation path and an exact JSON round trip,
-//! applied with [`Experiment::plan`](crate::Experiment::plan) (or the
-//! [`ExperimentBuilder`](crate::ExperimentBuilder) equivalent) and
-//! carried by [`RunSpec`](crate::RunSpec) across the wire.
+//! stored as [`RunSpec::plan`](crate::RunSpec::plan), and set on an
+//! experiment with [`Experiment::plan`](crate::Experiment::plan).
 
 use graphmem_os::GovernorConfig;
 use graphmem_telemetry::counters::write_optional;

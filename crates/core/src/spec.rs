@@ -83,31 +83,16 @@ impl Default for RunSpec {
 impl RunSpec {
     /// Lower the spec into a validated [`Experiment`] — the single
     /// flag→config assembly site shared by the CLI and the experiment
-    /// service.
+    /// service. The experiment holds this spec as-is, with its run-local
+    /// knobs (huge-page order, STLB size, telemetry, attribution) at
+    /// their defaults.
     ///
     /// # Errors
     ///
     /// Returns [`GraphmemError::InvalidConfig`] for out-of-range knobs or
-    /// impossible kernel/policy combinations (see
-    /// [`Experiment::builder`]).
+    /// impossible kernel/policy combinations (see [`Experiment::build`]).
     pub fn to_experiment(&self) -> Result<Experiment, GraphmemError> {
-        let mut b = Experiment::builder(self.dataset, self.kernel)
-            .plan(self.plan)
-            .preprocessing(self.preprocess)
-            .alloc_order(self.order)
-            .condition(self.condition)
-            .file_placement(self.file)
-            .seed_offset(self.seed_offset);
-        if let Some(s) = self.scale {
-            b = b.scale(s);
-        }
-        if !self.verify {
-            b = b.skip_verification();
-        }
-        if let Some(interval) = self.sample_interval {
-            b = b.sample_interval(interval);
-        }
-        b.build()
+        Experiment::from_spec(self.clone()).build()
     }
 
     /// The config's content address: lowers through
@@ -731,6 +716,38 @@ mod tests {
                 r.map(|e| e.config_key()).map_err(|e| e.to_string())
             };
             prop_assert_eq!(key(spec.to_experiment()), key(chain.build()));
+        }
+
+        /// Property: spec JSON mangled at the wire boundary — truncated,
+        /// byte-flipped, or spliced from two valid specs — never panics.
+        /// Parsing fails with a message, and every spec that still parses
+        /// lowers to an experiment or a typed `InvalidConfig`.
+        #[test]
+        fn mangled_spec_json_fails_typed(case in 0u32..u32::MAX) {
+            let mut rng = proptest::TestRng::for_case("runspec_fuzz", case);
+            let mut bytes = arb_spec(&mut rng).to_json().into_bytes();
+            match rng.below(3) {
+                0 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+                1 => {
+                    for _ in 0..=rng.below(4) {
+                        let i = rng.below(bytes.len() as u64) as usize;
+                        bytes[i] = rng.next_u64() as u8;
+                    }
+                }
+                _ => {
+                    let other = arb_spec(&mut rng).to_json().into_bytes();
+                    bytes.truncate(rng.below(bytes.len() as u64) as usize);
+                    bytes.extend_from_slice(&other[rng.below(other.len() as u64) as usize..]);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let lowered = std::panic::catch_unwind(|| {
+                RunSpec::from_json(&text).map(|spec| spec.to_experiment().map(|_| ()))
+            });
+            prop_assert!(lowered.is_ok(), "panicked on {text:?}");
+            if let Ok(Ok(Err(e))) = lowered {
+                prop_assert!(matches!(e, GraphmemError::InvalidConfig(_)), "{e} on {text:?}");
+            }
         }
     }
 }

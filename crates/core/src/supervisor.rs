@@ -26,8 +26,8 @@
 //!   record (kill mid-append) and report interior corruption as a typed
 //!   [`GraphmemError::Manifest`].
 //! * **Circuit breaking** — an optional shared
-//!   [`CircuitBreakers`](crate::breaker::CircuitBreakers) registry
-//!   rejects configs that failed persistently (panics/timeouts) until
+//!   [`CircuitBreakers`] registry rejects configs that failed
+//!   persistently (panics/timeouts) until
 //!   their cooldown elapses, so one poisonous config cannot monopolize
 //!   the workers.
 //! * **Fault injection** — a seeded [`FaultPlan`] injects panics, delays,

@@ -13,8 +13,8 @@ use crate::supervisor::{run_supervised, SupervisorConfig};
 /// serial loop — only the wall-clock time changes.
 ///
 /// This is the all-or-nothing convenience wrapper over
-/// [`run_supervised`](crate::supervisor::run_supervised): an empty list
-/// returns an empty vector without spawning anything, and the first
+/// [`run_supervised`]: an empty list returns an empty vector without
+/// spawning anything, and the first
 /// failing experiment (grid order) surfaces as the error. Use the
 /// supervisor directly for per-config outcomes, retries, or
 /// checkpoint/resume.

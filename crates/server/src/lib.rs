@@ -1,8 +1,8 @@
 //! # graphmem-server — concurrent experiment service
 //!
 //! A std-only HTTP/1.1 experiment service: clients POST typed
-//! [`RunSpec`](graphmem_core::RunSpec)s (single configs or sweep grids),
-//! a bounded job queue feeds a worker pool that executes each config
+//! [`RunSpec`]s (single configs or sweep grids), a bounded job queue
+//! feeds a worker pool that executes each config
 //! through the fault-tolerant supervisor
 //! ([`graphmem_core::run_supervised`]), and a two-tier content-addressed
 //! [`ResultStore`] keyed on the FNV-1a `config_hash` makes repeated

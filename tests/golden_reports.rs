@@ -19,8 +19,8 @@
 //! observer that changed which pipeline runs would move these.
 
 use graphmem_core::{
-    Experiment, ExperimentBuilder, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan,
-    RunReport, RunSpec, Surplus,
+    Experiment, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan, RunReport, RunSpec,
+    Surplus,
 };
 use graphmem_graph::Dataset;
 use graphmem_integration_tests::{assert_fixture_section, debug_digest, fnv1a, Fnv1a};
@@ -34,7 +34,7 @@ const ORACLE: &str = include_str!("golden/oracle_digests.txt");
 
 const KERNELS: [Kernel; 4] = [Kernel::Bfs, Kernel::Pagerank, Kernel::Sssp, Kernel::Cc];
 
-fn builder(kernel: Kernel, plan: PageSizePlan, condition: MemoryCondition) -> ExperimentBuilder {
+fn builder(kernel: Kernel, plan: PageSizePlan, condition: MemoryCondition) -> Experiment {
     Experiment::builder(Dataset::Wiki, kernel)
         .scale(Dataset::Wiki.default_scale() - 4)
         .plan(plan)
@@ -108,7 +108,7 @@ fn record_everything() -> Tracer {
 /// Run `builder` with a record-everything tracer attached; returns the
 /// report and one fixture line: event count, event-stream digest and
 /// report digest.
-fn observed(builder: ExperimentBuilder) -> (RunReport, String) {
+fn observed(builder: Experiment) -> (RunReport, String) {
     let tracer = record_everything();
     let report = builder
         .telemetry(tracer.clone())
