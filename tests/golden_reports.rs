@@ -292,3 +292,32 @@ fn committed_shard_line_parses_and_reframes_byte_identically() {
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `graphmem run --dataset wiki --scale 11 --attribution
+/// --sample-interval 100000 --series series.csv`: the metrics series CSV
+/// and its `series.csv.memstate.csv` sidecar, written by an earlier build
+/// and committed verbatim.
+const SERIES_CSV: &str = include_str!("golden/series.csv");
+const MEMSTATE_CSV: &str = include_str!("golden/series.memstate.csv");
+
+#[test]
+fn series_csv_bytes_match_fixtures() {
+    let spec = RunSpec {
+        dataset: Dataset::Wiki,
+        scale: Some(11),
+        sample_interval: Some(100_000),
+        ..RunSpec::default()
+    };
+    let report = spec
+        .to_experiment()
+        .expect("valid spec")
+        .attribution(true)
+        .run();
+    let series = report.series.expect("sampled run has a series");
+    assert_eq!(series.to_csv(), SERIES_CSV);
+    let memory = report
+        .attribution
+        .and_then(|a| a.memory)
+        .expect("attributed run has a memory-state series");
+    assert_eq!(memory.to_csv(), MEMSTATE_CSV);
+}
