@@ -16,7 +16,7 @@ use graphmem_core::{
 };
 use graphmem_graph::Dataset;
 use graphmem_integration_tests::{assert_fixture_section, fnv1a};
-use graphmem_os::{MemStateSample, MemStateSeries, RegionCounters, System, SystemSpec};
+use graphmem_os::{MemStateSample, MemStateSeries, RegionCounters, System, SystemSpec, VirtAddr};
 use graphmem_physmem::Fragmenter;
 use graphmem_telemetry::json::JsonValue;
 use graphmem_telemetry::Histogram;
@@ -155,6 +155,56 @@ fn fragmented_run_records_a_degraded_memstate_series() {
         "fragmentation consumes huge blocks ({} -> {})",
         p0.free_huge_blocks,
         f0.free_huge_blocks
+    );
+}
+
+/// The memory-state series closes the way the metrics series does. When
+/// the run's last access lands exactly on an epoch boundary, the closing
+/// snapshot replaces that epoch's sample in both series, so neither ends
+/// with a repeated cycle and the two list the same cycles.
+#[test]
+fn memstate_series_closes_on_the_metrics_series_cycles() {
+    const READS: u64 = 1500;
+    const REGION: u64 = 1 << 20;
+    let build = || {
+        let mut sys = System::new(SystemSpec::scaled_with_order(64, 4));
+        sys.enable_attribution(true);
+        let base = sys.mmap(REGION, "data");
+        sys.populate(base, REGION);
+        (sys, base)
+    };
+    let read_all = |sys: &mut System, base: VirtAddr| {
+        for i in 0..READS {
+            sys.read(base.add(i * 4160 % REGION));
+        }
+    };
+    // An unsampled twin finds the clock the last read ends on; that clock
+    // is the sampled run's interval, so its only epoch closes on the last
+    // read.
+    let (mut twin, base) = build();
+    read_all(&mut twin, base);
+    let (mut sys, base) = build();
+    sys.enable_sampling(twin.clock());
+    read_all(&mut sys, base);
+    assert_eq!(sys.clock(), twin.clock(), "sampling perturbed the run");
+    let metrics: Vec<u64> = sys
+        .take_series()
+        .expect("sampling is on")
+        .samples()
+        .iter()
+        .map(|s| s.cycle)
+        .collect();
+    let memory: Vec<u64> = sys
+        .take_memstate()
+        .expect("attribution is on")
+        .samples()
+        .iter()
+        .map(|s| s.cycle)
+        .collect();
+    assert_eq!(memory, metrics, "memory-state and metrics cycles differ");
+    assert!(
+        memory.windows(2).all(|w| w[0] < w[1]),
+        "cycles must strictly increase: {memory:?}"
     );
 }
 

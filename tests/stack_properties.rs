@@ -114,6 +114,7 @@ proptest! {
             .huge_order(4)
             .policy(policy)
             .sample_interval(interval).build().expect("valid config")
+            .attribution(true)
             .run();
         prop_assert!(r.verified);
         let series = r.series.as_ref().expect("sampling was enabled");
@@ -128,6 +129,13 @@ proptest! {
             prop_assert!(w[0].faults <= w[1].faults);
             prop_assert!(w[0].kernel_cycles <= w[1].kernel_cycles);
         }
+
+        // The memory-state series is sampled and closed on the same cycles.
+        let memory = r.attribution.as_ref().and_then(|a| a.memory.as_ref());
+        let memory_cycles: Vec<u64> =
+            memory.expect("attribution was on").samples().iter().map(|s| s.cycle).collect();
+        let metrics_cycles: Vec<u64> = samples.iter().map(|s| s.cycle).collect();
+        prop_assert_eq!(memory_cycles, metrics_cycles);
 
         // Telescoping: delta sums reproduce the final cumulative sample.
         let deltas = series.deltas();
