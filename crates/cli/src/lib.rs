@@ -92,7 +92,8 @@ SUBMIT (submit only):
 TELEMETRY (run only):
     --telemetry <PATH>                       stream kernel events to PATH (JSONL)
     --series <PATH>                          write the sampled series to PATH (CSV);
-                                             with --attribution also writes
+                                             needs --sample-interval; with
+                                             --attribution also writes
                                              PATH.memstate.csv (fragmentation/coverage)
     --attribution                            per-array TLB/walk attribution profile
                                              (table in prose mode, \"attribution\" key

@@ -47,7 +47,8 @@ pub struct RunArgs {
 pub struct ExecArgs {
     /// Stream telemetry events to this JSONL file.
     pub telemetry: Option<String>,
-    /// Write the sampled metrics series to this CSV file.
+    /// Write the sampled metrics series to this CSV file (`run` with
+    /// `--sample-interval` only).
     pub series: Option<String>,
     /// Enable the translation-attribution profiler (per-array TLB/walk
     /// accounting plus fragmentation/coverage series).
@@ -175,13 +176,23 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     match it.next().map(String::as_str) {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("datasets") => Ok(Command::Datasets),
-        Some("run") => Ok(Command::Run(parse_run_args(it.as_slice())?)),
+        Some("run") => {
+            let args = parse_run_args(it.as_slice())?;
+            if args.exec.series.is_some() && args.spec.sample_interval.is_none() {
+                return err("--series needs --sample-interval: an unsampled run has no series");
+            }
+            Ok(Command::Run(args))
+        }
         Some("sweep") => {
             let kind = match it.next() {
                 Some(word) => SweepKind::from_token(word).map_err(ParseError)?,
                 None => return err("sweep needs one of pressure|frag|selectivity"),
             };
-            Ok(Command::Sweep(kind, parse_run_args(it.as_slice())?))
+            let args = parse_run_args(it.as_slice())?;
+            if args.exec.series.is_some() {
+                return err("--series is a run option: a sweep writes no series");
+            }
+            Ok(Command::Sweep(kind, args))
         }
         Some("serve") => Ok(Command::Serve(parse_serve_args(it.as_slice())?)),
         Some("submit") => Ok(Command::Submit(parse_submit_args(it.as_slice())?)),
@@ -651,6 +662,12 @@ mod tests {
         assert!(e.to_string().contains("needs a value"));
         let e = parse(&args("frobnicate")).unwrap_err();
         assert!(e.to_string().contains("frobnicate"));
+        // A --series that would write nothing is refused, not ignored.
+        let e = parse(&args("run --dataset wiki --series x.csv")).unwrap_err();
+        assert!(e.to_string().contains("--series"), "{e}");
+        assert!(e.to_string().contains("--sample-interval"), "{e}");
+        let e = parse(&args("sweep frag --sample-interval 100000 --series x.csv")).unwrap_err();
+        assert!(e.to_string().contains("--series"), "{e}");
     }
 
     #[test]

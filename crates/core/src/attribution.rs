@@ -63,8 +63,10 @@ impl RegionReport {
 pub struct AttributionReport {
     /// Per-region attribution, indexed by VMA id.
     pub regions: Vec<RegionReport>,
-    /// Epoch-sampled fragmentation / coverage series, when metric sampling
-    /// was also enabled for the run.
+    /// Fragmentation / coverage series: one snapshot per sampled epoch
+    /// when epoch sampling was on, closed by an end-of-run snapshot, so a
+    /// report collected from a run always has one (the key stays optional
+    /// on the wire).
     pub memory: Option<MemStateSeries>,
 }
 
@@ -84,7 +86,7 @@ impl AttributionReport {
                 huge_bytes: map.huge_bytes,
             })
             .collect();
-        let memory = sys.take_memstate().filter(|s| !s.is_empty());
+        let memory = sys.take_memstate();
         Some(AttributionReport { regions, memory })
     }
 
@@ -273,7 +275,7 @@ mod tests {
         assert_eq!(back.to_json(), text);
         // The optional memory series key round-trips too.
         let mut with_mem = sample();
-        let mut series = MemStateSeries::new();
+        let mut series = MemStateSeries::default();
         series.note_regions(&["edge_array".into(), "dist".into()]);
         series.push(graphmem_os::MemStateSample {
             cycle: 100,

@@ -768,17 +768,18 @@ impl System {
     /// Stop sampling and take the series, closing it with a final snapshot
     /// of the current counters. `None` if sampling was never enabled.
     pub fn take_series(&mut self) -> Option<MetricsSeries> {
-        let mut sampler = self.sampler.take()?;
-        sampler.record_final(self.metrics_sample());
+        let mut series = self.sampler.take()?.into_series();
+        series.close(self.metrics_sample());
         self.recompute_event_horizon();
-        Some(sampler.into_series())
+        Some(series)
     }
 
     /// Enable per-region translation-cost attribution: every subsequent
     /// access is charged to the VMA containing its address (see
-    /// `graphmem_vm::attribution`), and — when epoch sampling is also on —
-    /// a [`MemStateSeries`] of buddyinfo/fragmentation/coverage snapshots
-    /// is recorded alongside the metrics series.
+    /// `graphmem_vm::attribution`), and a [`MemStateSeries`] of
+    /// buddyinfo/fragmentation/coverage snapshots is recorded: one on each
+    /// sampled epoch when epoch sampling is on, and always one closing
+    /// snapshot when [`System::take_memstate`] takes the series.
     ///
     /// Pure observation: simulated clocks, counters, and TLB/cache state
     /// advance identically whether or not attribution is on. Regions are
@@ -792,11 +793,7 @@ impl System {
         // proves nothing now.
         self.clear_run_memo();
         self.mmu.enable_attribution(on);
-        self.memstate = if on {
-            Some(MemStateSeries::new())
-        } else {
-            None
-        };
+        self.memstate = on.then(MemStateSeries::default);
     }
 
     /// Whether per-region attribution is currently enabled.
@@ -842,9 +839,10 @@ impl System {
     /// Stop memory-state recording and take the series, closing it with a
     /// final snapshot. `None` if attribution was never enabled.
     pub fn take_memstate(&mut self) -> Option<MemStateSeries> {
-        self.memstate.as_ref()?;
-        self.record_memstate();
-        self.memstate.take()
+        let mut series = self.memstate.take()?;
+        series.note_regions(&self.region_names());
+        series.close(self.memstate_sample());
+        Some(series)
     }
 
     /// Resolve `addr` to its VMA and point the MMU's attribution cursor at
@@ -896,16 +894,12 @@ impl System {
     }
 
     /// Append a memory-state snapshot if recording is on (called on every
-    /// sampled epoch and at series take-time).
+    /// sampled epoch).
     fn record_memstate(&mut self) {
-        if self.memstate.is_none() {
-            return;
-        }
-        let sample = self.memstate_sample();
-        let names = self.region_names();
-        if let Some(ms) = &mut self.memstate {
-            ms.note_regions(&names);
-            ms.push(sample);
+        if let Some(mut series) = self.memstate.take() {
+            series.note_regions(&self.region_names());
+            series.push(self.memstate_sample());
+            self.memstate = Some(series);
         }
     }
 

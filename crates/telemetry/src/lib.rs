@@ -9,11 +9,16 @@
 //!    memory model (buddy splits and merges). Events land in a bounded ring
 //!    buffer and/or stream to a pluggable sink such as a JSONL file.
 //! 2. **Epoch sampling** ([`EpochSampler`], [`MetricsSample`],
-//!    [`MetricsSeries`]): a cumulative metrics snapshot taken every N
-//!    simulated cycles, forming a time series that rides along on the run
-//!    report. Per-epoch deltas (miss rates, faults/cycle) are derived from
-//!    adjacent cumulative samples, so the series always sums back to the
-//!    final aggregate counters.
+//!    [`MemStateSample`]): a cumulative metrics snapshot taken every N
+//!    simulated cycles, plus a memory-state snapshot (buddyinfo,
+//!    fragmentation, per-region coverage) when attribution is on. Both
+//!    form time series in one generic container, [`Series`]
+//!    ([`MetricsSeries`], [`MemStateSeries`]), which owns the ordering,
+//!    the closing end-of-run sample and the JSON and CSV forms; the
+//!    sample type supplies only its header field and CSV layout
+//!    ([`SeriesSample`]). Per-epoch deltas (miss rates, faults/cycle) are
+//!    derived from adjacent cumulative samples, so a series always sums
+//!    back to the final aggregate counters.
 //! 3. **Exporters**: JSONL for events, CSV for the time series, plus a tiny
 //!    dependency-free JSON writer ([`json`]) shared with
 //!    `RunReport::to_json`. Every counter set is declared once through
@@ -32,6 +37,7 @@ pub mod histogram;
 pub mod json;
 pub mod memstate;
 pub mod metrics;
+pub mod series;
 pub mod trace;
 
 pub use counters::Counters;
@@ -39,4 +45,5 @@ pub use event::{DemotionReason, Event, EventKind, EventMask, FaultOutcome, Recla
 pub use histogram::Histogram;
 pub use memstate::{MemStateSample, MemStateSeries};
 pub use metrics::{EpochSampler, MetricsSample, MetricsSeries};
+pub use series::{Series, SeriesSample};
 pub use trace::{EventSink, JsonlSink, TraceConfig, TraceStats, Tracer};

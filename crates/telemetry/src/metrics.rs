@@ -6,11 +6,8 @@
 //! [`MetricsSeries`]; per-epoch rates fall out of adjacent-sample deltas, so
 //! the series always reconciles with end-of-run aggregate counters.
 
-use std::io::{self, Write};
-use std::path::Path;
-
-use crate::counters::{read_field, Counters, Field, FieldError, Scalar};
-use crate::json::{JsonObject, JsonValue};
+use crate::counters::Scalar;
+use crate::series::{Series, SeriesSample};
 
 crate::counters! {
     /// One epoch snapshot: cumulative counters plus instantaneous gauges.
@@ -72,21 +69,6 @@ crate::counters! {
 }
 
 impl MetricsSample {
-    /// Values in [`Counters::FIELDS`] order, rendered for CSV (floats to
-    /// six decimals).
-    pub fn csv_row(&self) -> String {
-        let cells: Vec<String> = self
-            .scalars()
-            .into_iter()
-            .flatten()
-            .map(|cell| match cell {
-                Scalar::Float(v) => format!("{v:.6}"),
-                int => int.to_string(),
-            })
-            .collect();
-        cells.join(",")
-    }
-
     /// DTLB misses per access over this (delta) sample; 0 when idle.
     pub fn dtlb_miss_rate(&self) -> f64 {
         ratio(self.dtlb_misses, self.accesses)
@@ -115,112 +97,31 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// A time series of epoch snapshots.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSeries {
-    /// Nominal sampling interval in simulated cycles.
-    pub interval: u64,
-    samples: Vec<MetricsSample>,
+impl SeriesSample for MetricsSample {
+    const HEADER: &'static str = "interval";
+    type Header = u64;
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// Floats print to six decimals.
+    fn csv_cell(cell: Scalar) -> String {
+        match cell {
+            Scalar::Float(v) => format!("{v:.6}"),
+            int => int.to_string(),
+        }
+    }
 }
+
+/// A time series of epoch snapshots; its header is the nominal sampling
+/// interval.
+pub type MetricsSeries = Series<MetricsSample>;
 
 impl MetricsSeries {
-    /// An empty series with the given nominal interval.
-    pub fn new(interval: u64) -> Self {
-        MetricsSeries {
-            interval,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Append a snapshot (cycles must be non-decreasing).
-    pub fn push(&mut self, sample: MetricsSample) {
-        if let Some(last) = self.samples.last() {
-            debug_assert!(sample.cycle >= last.cycle, "samples must be in time order");
-        }
-        self.samples.push(sample);
-    }
-
-    /// All snapshots, oldest first.
-    pub fn samples(&self) -> &[MetricsSample] {
-        &self.samples
-    }
-
-    /// The most recent snapshot.
-    pub fn last(&self) -> Option<&MetricsSample> {
-        self.samples.last()
-    }
-
-    /// Number of snapshots.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no snapshot has been taken.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Per-epoch deltas between adjacent samples (the first epoch is
-    /// measured from the zero sample). Summing the cumulative fields of the
-    /// result reproduces the final sample exactly.
-    pub fn deltas(&self) -> Vec<MetricsSample> {
-        let zero = MetricsSample::default();
-        self.samples
-            .iter()
-            .scan(zero, |prev, s| {
-                let d = s.since(prev);
-                *prev = *s;
-                Some(d)
-            })
-            .collect()
-    }
-
-    /// Render as CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = MetricsSample::FIELDS.join(",");
-        out.push('\n');
-        for s in &self.samples {
-            out.push_str(&s.csv_row());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write [`Self::to_csv`] to a file.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_csv().as_bytes())
-    }
-
-    /// Render as a JSON object (interval + array of samples).
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("interval", self.interval)
-            .field_raw("samples", &self.samples.json());
-        o.finish()
-    }
-
-    /// Rebuild a series from a parsed JSON object — the inverse of
-    /// [`Self::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or mistyped field.
-    pub fn from_json_value(v: &JsonValue) -> Result<MetricsSeries, String> {
-        Self::from_json(v).map_err(|e| format!("MetricsSeries: {e}"))
-    }
-}
-
-impl Field for MetricsSeries {
-    fn json(&self) -> String {
-        self.to_json()
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Self, FieldError> {
-        Ok(MetricsSeries {
-            interval: read_field(v, "interval")?,
-            samples: read_field(v, "samples")?,
-        })
+    /// Nominal sampling interval in simulated cycles.
+    pub fn interval(&self) -> u64 {
+        self.header
     }
 }
 
@@ -228,7 +129,6 @@ impl Field for MetricsSeries {
 /// and accumulates the resulting series.
 #[derive(Debug, Clone)]
 pub struct EpochSampler {
-    interval: u64,
     next: u64,
     series: MetricsSeries,
 }
@@ -238,15 +138,9 @@ impl EpochSampler {
     pub fn new(interval: u64) -> Self {
         assert!(interval > 0, "sampling interval must be positive");
         EpochSampler {
-            interval,
             next: interval,
             series: MetricsSeries::new(interval),
         }
-    }
-
-    /// Sampling interval in cycles.
-    pub fn interval(&self) -> u64 {
-        self.interval
     }
 
     /// Whether the clock has crossed the next sampling point.
@@ -265,29 +159,13 @@ impl EpochSampler {
     /// Record a due snapshot and schedule the next epoch after it.
     pub fn record(&mut self, sample: MetricsSample) {
         while self.next <= sample.cycle {
-            self.next += self.interval;
+            self.next += self.series.interval();
         }
         self.series.push(sample);
     }
 
-    /// Record the final snapshot unconditionally (end of run). If the clock
-    /// has not advanced since the last snapshot, the last one is replaced so
-    /// the series never ends with a duplicate cycle.
-    pub fn record_final(&mut self, sample: MetricsSample) {
-        if self.series.last().is_some_and(|l| l.cycle == sample.cycle) {
-            let n = self.series.samples.len();
-            self.series.samples[n - 1] = sample;
-        } else {
-            self.series.push(sample);
-        }
-    }
-
-    /// The accumulated series.
-    pub fn series(&self) -> &MetricsSeries {
-        &self.series
-    }
-
-    /// Consume the sampler, yielding its series.
+    /// Consume the sampler, yielding its series (close it with
+    /// [`Series::close`]).
     pub fn into_series(self) -> MetricsSeries {
         self.series
     }
@@ -296,6 +174,7 @@ impl EpochSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{Counters, Field};
 
     fn sample(cycle: u64, accesses: u64, faults: u64) -> MetricsSample {
         MetricsSample {
@@ -307,19 +186,6 @@ mod tests {
             fragmentation_index: 0.25,
             ..MetricsSample::default()
         }
-    }
-
-    #[test]
-    fn series_round_trips_through_json() {
-        let mut series = MetricsSeries::new(100);
-        series.push(sample(100, 10, 1));
-        series.push(sample(250, 37, 2));
-        let text = series.to_json();
-        let v = crate::json::JsonValue::parse(&text).unwrap();
-        let back = MetricsSeries::from_json_value(&v).unwrap();
-        assert_eq!(back.interval, series.interval);
-        assert_eq!(back.samples(), series.samples());
-        assert_eq!(back.to_json(), text);
     }
 
     #[test]
@@ -341,49 +207,17 @@ mod tests {
         s.record(sample(450, 40, 2)); // skipped epochs collapse
         assert!(!s.due(499));
         assert!(s.due(500));
-        assert_eq!(s.series().len(), 2);
-    }
-
-    #[test]
-    fn record_final_replaces_duplicate_cycle() {
-        let mut s = EpochSampler::new(100);
-        s.record(sample(100, 10, 1));
-        s.record_final(sample(100, 12, 1));
-        assert_eq!(s.series().len(), 1);
-        assert_eq!(s.series().last().unwrap().accesses, 12);
-        s.record_final(sample(150, 20, 2));
-        assert_eq!(s.series().len(), 2);
-    }
-
-    #[test]
-    fn deltas_sum_back_to_final_cumulative_sample() {
-        let mut series = MetricsSeries::new(100);
-        series.push(sample(100, 17, 2));
-        series.push(sample(200, 40, 3));
-        series.push(sample(350, 95, 9));
-        let deltas = series.deltas();
-        assert_eq!(deltas.len(), 3);
-        let total_accesses: u64 = deltas.iter().map(|d| d.accesses).sum();
-        let total_faults: u64 = deltas.iter().map(|d| d.faults).sum();
-        let total_cycles: u64 = deltas.iter().map(|d| d.cycle).sum();
-        let last = series.last().unwrap();
-        assert_eq!(total_accesses, last.accesses);
-        assert_eq!(total_faults, last.faults);
-        assert_eq!(total_cycles, last.cycle);
-        // Gauges carry the instantaneous value, not a difference.
-        assert_eq!(deltas[1].free_frames, 100);
+        let series = s.into_series();
+        assert_eq!(series.len(), 2);
+        assert_eq!(series.interval(), 100);
     }
 
     #[test]
     fn csv_header_matches_row_arity() {
         let header_cols = MetricsSample::FIELDS.len();
-        let row = sample(1, 2, 3).csv_row();
-        assert_eq!(row.split(',').count(), header_cols);
-        let csv = {
-            let mut s = MetricsSeries::new(10);
-            s.push(sample(10, 5, 1));
-            s.to_csv()
-        };
+        let mut s = MetricsSeries::new(10);
+        s.push(sample(10, 5, 1));
+        let csv = s.to_csv();
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap().split(',').count(),
@@ -408,7 +242,7 @@ mod tests {
     fn json_export_contains_samples() {
         let mut s = MetricsSeries::new(10);
         s.push(sample(10, 5, 1));
-        let j = s.to_json();
+        let j = s.json();
         assert!(j.starts_with(r#"{"interval":10,"samples":[{"cycle":10,"#));
     }
 }

@@ -297,7 +297,7 @@ fn arb_report() -> impl Strategy<Value = AttributionReport> {
         });
     let series = (0usize..4, proptest::collection::vec(sample, 0..4)).prop_map(
         |(region_count, mut samples)| {
-            let mut s = MemStateSeries::new();
+            let mut s = MemStateSeries::default();
             let names: Vec<String> = (0..region_count).map(|i| format!("vma_{i}")).collect();
             s.note_regions(&names);
             samples.sort_by_key(|sm| sm.cycle); // pushes must be in time order

@@ -119,7 +119,7 @@ proptest! {
         prop_assert!(r.verified);
         let series = r.series.as_ref().expect("sampling was enabled");
         prop_assert!(!series.is_empty());
-        prop_assert_eq!(series.interval, interval);
+        prop_assert_eq!(series.interval(), interval);
 
         // Samples are time-ordered and cumulative counters never decrease.
         let samples = series.samples();
