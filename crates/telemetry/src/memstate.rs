@@ -93,6 +93,35 @@ impl MemStateSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Field;
+    use crate::json::JsonValue;
+
+    fn sample(cycle: u64, coverage: &[f64]) -> MemStateSample {
+        MemStateSample {
+            cycle,
+            free_frames: 4096 - cycle,
+            free_huge_blocks: 8,
+            unusable_index: 0.25,
+            buddy: vec![3, 2, 1, 0, 8],
+            coverage: coverage.to_vec(),
+        }
+    }
+
+    #[test]
+    fn json_round_trip_is_byte_identical() {
+        let mut s = MemStateSeries::default();
+        s.push(sample(100, &[]));
+        s.note_regions(&["vertex_array".to_string()]);
+        s.push(sample(200, &[0.5]));
+        s.note_regions(&["vertex_array".to_string(), "dist".to_string()]);
+        s.push(sample(350, &[0.5, 0.875]));
+        let text = s.json();
+        assert!(text.starts_with(r#"{"regions":["vertex_array","dist"],"samples":[{"cycle":100,"#));
+        let back = MemStateSeries::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.regions(), ["vertex_array", "dist"]);
+        assert_eq!(back.json(), text);
+    }
 
     #[test]
     fn note_regions_only_extends() {

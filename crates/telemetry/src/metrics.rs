@@ -239,6 +239,20 @@ mod tests {
     }
 
     #[test]
+    fn series_round_trips_through_json() {
+        let mut s = MetricsSeries::new(100);
+        s.push(sample(100, 17, 2));
+        s.push(sample(200, 40, 3));
+        s.push(sample(350, 95, 9));
+        let text = s.json();
+        let back =
+            MetricsSeries::from_json(&crate::json::JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.interval(), 100);
+        assert_eq!(back.json(), text);
+    }
+
+    #[test]
     fn json_export_contains_samples() {
         let mut s = MetricsSeries::new(10);
         s.push(sample(10, 5, 1));
