@@ -2,7 +2,9 @@
 //!
 //! Parsing and execution logic for the `graphmem` binary, separated from
 //! `main.rs` so it can be unit-tested. No external argument-parsing
-//! dependencies: the grammar is small and stable.
+//! dependencies: the grammar is small and stable. Each subcommand parses
+//! straight into the library config it runs on and refuses, as a usage
+//! error naming it, any flag that [`USAGE`] does not list for it.
 //!
 //! ```text
 //! graphmem run   [OPTIONS]             # one measured experiment
@@ -18,7 +20,7 @@
 mod parse;
 mod run;
 
-pub use parse::{parse, Command, ExecArgs, ParseError, RunArgs, ServeArgs, SubmitArgs};
+pub use parse::{parse, Command, ParseError, RunArgs, SubmitArgs};
 pub use run::{execute, EXIT_FAILURE, EXIT_INTERRUPTED, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE};
 
 /// The usage text shown by `graphmem help` and on parse errors.

@@ -1,20 +1,18 @@
 //! Command execution: lower parsed specs through `graphmem-core` and
 //! print results (or drive / talk to the experiment service).
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use graphmem_core::{
-    run_supervised, FaultPlan, IoFaultPlan, RunReport, SupervisorConfig, SweepKind, SweepOutcome,
+    run_supervised, RunReport, RunSpec, SupervisorConfig, SweepKind, SweepOutcome,
 };
 use graphmem_graph::Dataset;
 use graphmem_server::{http, Server, ServerConfig};
 use graphmem_telemetry::json::{JsonObject, JsonValue};
 use graphmem_telemetry::{JsonlSink, TraceConfig, Tracer};
 
-use crate::parse::{Command, ExecArgs, RunArgs, ServeArgs, SubmitArgs};
+use crate::parse::{Command, RunArgs, SubmitArgs};
 use crate::USAGE;
 
 /// Process exit code: everything succeeded.
@@ -45,8 +43,8 @@ pub fn execute(cmd: Command) -> u8 {
             EXIT_OK
         }
         Command::Run(args) => run_cmd(&args),
-        Command::Sweep(kind, args) => sweep_cmd(kind, &args),
-        Command::Serve(args) => serve_cmd(&args),
+        Command::Sweep(kind, spec, config) => sweep_cmd(kind, &spec, config),
+        Command::Serve(config) => serve_cmd(config),
         Command::Submit(args) => submit_cmd(&args),
     }
 }
@@ -59,7 +57,7 @@ fn run_cmd(args: &RunArgs) -> u8 {
             return EXIT_FAILURE;
         }
     };
-    if let Some(path) = &args.exec.telemetry {
+    if let Some(path) = &args.telemetry {
         let sink = match JsonlSink::create(path) {
             Ok(s) => s,
             Err(e) => {
@@ -70,7 +68,7 @@ fn run_cmd(args: &RunArgs) -> u8 {
         experiment =
             experiment.telemetry(Tracer::enabled(TraceConfig::default().sink(Box::new(sink))));
     }
-    if args.exec.attribution {
+    if args.attribution {
         experiment = experiment.attribution(true);
     }
     let report = match experiment.try_run() {
@@ -80,7 +78,7 @@ fn run_cmd(args: &RunArgs) -> u8 {
             return EXIT_FAILURE;
         }
     };
-    if let (Some(path), Some(series)) = (&args.exec.series, &report.series) {
+    if let (Some(path), Some(series)) = (&args.series, &report.series) {
         if let Err(e) = series.write_csv(path) {
             eprintln!("cannot write series file {path}: {e}");
             return EXIT_FAILURE;
@@ -95,7 +93,7 @@ fn run_cmd(args: &RunArgs) -> u8 {
             }
         }
     }
-    if args.exec.json {
+    if args.json {
         println!("{}", report.to_json());
     } else {
         print_report(&report);
@@ -180,30 +178,6 @@ fn sigint_flag() -> Arc<AtomicBool> {
     }))
 }
 
-/// Assemble the supervisor configuration for a sweep's exec options.
-fn supervisor_config(exec: &ExecArgs, threads: usize) -> SupervisorConfig {
-    let mut faults = FaultPlan::none();
-    for (index, fault) in &exec.chaos {
-        faults = faults.inject(*index, fault.clone());
-    }
-    let mut manifest_faults = IoFaultPlan::none();
-    for (index, kind) in &exec.io_chaos {
-        manifest_faults = manifest_faults.inject(*index, *kind);
-    }
-    SupervisorConfig {
-        threads,
-        retries: exec.retries,
-        timeout: exec.timeout_secs.map(Duration::from_secs_f64),
-        manifest: exec.manifest.as_ref().map(PathBuf::from),
-        resume: exec.resume.as_ref().map(PathBuf::from),
-        faults,
-        fsync: exec.fsync.unwrap_or_default(),
-        manifest_faults,
-        cancel: Some(sigint_flag()),
-        ..SupervisorConfig::default()
-    }
-}
-
 fn print_sweep_outcome(kind: SweepKind, params: &[f64], outcome: &SweepOutcome) {
     if outcome.resumed > 0 {
         println!(
@@ -255,18 +229,18 @@ fn print_sweep_outcome(kind: SweepKind, params: &[f64], outcome: &SweepOutcome) 
     }
 }
 
-fn sweep_cmd(kind: SweepKind, args: &RunArgs) -> u8 {
-    let threads = args.exec.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-    let exps = match args.spec.experiments(Some(kind)) {
+fn sweep_cmd(kind: SweepKind, spec: &RunSpec, config: SupervisorConfig) -> u8 {
+    let exps = match spec.experiments(Some(kind)) {
         Ok(exps) => exps,
         Err(e) => {
             eprintln!("error: {e}");
             return EXIT_FAILURE;
         }
     };
-    let config = supervisor_config(&args.exec, threads);
+    let config = SupervisorConfig {
+        cancel: Some(sigint_flag()),
+        ..config
+    };
     let outcome = match run_supervised(&exps, &config) {
         Ok(o) => o,
         Err(e) => {
@@ -285,36 +259,12 @@ fn sweep_cmd(kind: SweepKind, args: &RunArgs) -> u8 {
     }
 }
 
-fn serve_cmd(args: &ServeArgs) -> u8 {
-    let mut io_faults = IoFaultPlan::none();
-    for (index, kind) in &args.io_chaos {
-        io_faults = io_faults.inject(*index, *kind);
-    }
-    let mut compute_faults = FaultPlan::none();
-    for (index, fault) in &args.chaos {
-        compute_faults = compute_faults.inject(*index, fault.clone());
-    }
-    let defaults = ServerConfig::default();
-    let config = ServerConfig {
-        addr: args.addr.clone(),
-        workers: args.workers,
-        queue_capacity: args.queue,
-        cache_dir: args.cache_dir.as_ref().map(PathBuf::from),
-        retries: args.retries,
-        timeout: args.timeout_ms.map(Duration::from_millis),
-        fsync: args.fsync.unwrap_or(defaults.fsync),
-        io_faults,
-        compute_faults,
-        breaker_threshold: args.breaker.unwrap_or(defaults.breaker_threshold),
-        breaker_cooldown: args
-            .breaker_cooldown_ms
-            .map_or(defaults.breaker_cooldown, Duration::from_millis),
-        ..defaults
-    };
+fn serve_cmd(config: ServerConfig) -> u8 {
+    let addr = config.addr.clone();
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("cannot start experiment service on {}: {e}", args.addr);
+            eprintln!("cannot start experiment service on {addr}: {e}");
             return EXIT_FAILURE;
         }
     };
@@ -457,20 +407,17 @@ fn datasets() {
 mod tests {
     use super::*;
     use crate::parse::{parse, Command};
-    use graphmem_core::{sweep, Experiment};
+    use graphmem_core::sweep;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
-    fn experiments(kind: SweepKind, run: &RunArgs) -> Vec<Experiment> {
-        run.spec.experiments(Some(kind)).expect("valid spec")
-    }
-
     /// Build and run one sweep's experiments on `threads` workers,
     /// returning `(parameter, report)` rows in sweep order.
-    fn sweep_rows(kind: SweepKind, run: &RunArgs, threads: usize) -> Vec<(f64, RunReport)> {
-        let reports = sweep::run_parallel(experiments(kind, run), threads).expect("sweep failed");
+    fn sweep_rows(kind: SweepKind, spec: &RunSpec, threads: usize) -> Vec<(f64, RunReport)> {
+        let exps = spec.experiments(Some(kind)).expect("valid spec");
+        let reports = sweep::run_parallel(exps, threads).expect("sweep failed");
         kind.params().iter().copied().zip(reports).collect()
     }
 
@@ -505,15 +452,15 @@ mod tests {
 
     #[test]
     fn sweep_two_threads_bit_identical_to_serial() {
-        let Command::Sweep(kind, run) = parse(&args(
+        let Command::Sweep(kind, spec, config) = parse(&args(
             "sweep frag --dataset wiki --scale 11 --policy thp --threads 2",
         ))
         .unwrap() else {
             panic!()
         };
-        assert_eq!(run.exec.threads, Some(2));
-        let par = sweep_rows(kind, &run, 2);
-        let ser = sweep_rows(kind, &run, 1);
+        assert_eq!(config.threads, 2);
+        let par = sweep_rows(kind, &spec, 2);
+        let ser = sweep_rows(kind, &spec, 1);
         assert_eq!(par.len(), ser.len());
         for ((pp, pr), (sp, sr)) in par.iter().zip(&ser) {
             assert_eq!(pp, sp);
@@ -589,7 +536,7 @@ mod tests {
         else {
             panic!()
         };
-        assert!(run.exec.attribution);
+        assert!(run.attribution);
         let report = run.spec.to_experiment().unwrap().attribution(true).run();
         assert!(report.to_json().contains(r#""attribution":{"regions":["#));
         let attr = report.attribution.expect("profile attached");

@@ -86,8 +86,8 @@ pub use policy::{PagePolicy, Preprocessing};
 pub use report::{GovernorReport, RunReport};
 pub use spec::{RunSpec, SweepKind};
 pub use supervisor::{
-    read_manifest, run_supervised, FailureRecord, FaultPlan, FaultSpec, SupervisorConfig,
-    SweepOutcome,
+    read_manifest, run_supervised, supervise_one, FailureRecord, FaultPlan, FaultSpec,
+    SupervisorConfig, SweepOutcome,
 };
 
 /// One-line import of the experiment-building surface:

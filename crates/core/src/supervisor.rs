@@ -156,6 +156,9 @@ impl FaultPlan {
     }
 }
 
+/// Ceiling on the exponential backoff between retries.
+pub const BACKOFF_CAP: Duration = Duration::from_secs(5);
+
 /// How a sweep is supervised. `Default` gives one thread, no retries, no
 /// watchdog, no manifest, no telemetry, and no faults.
 #[derive(Debug, Clone)]
@@ -168,11 +171,9 @@ pub struct SupervisorConfig {
     /// Optional per-experiment wall-clock watchdog.
     pub timeout: Option<Duration>,
     /// Base backoff between retries; attempt *k* waits
-    /// `min(backoff_cap, backoff × 2^(k−1))` plus a deterministic jitter
+    /// `min(BACKOFF_CAP, backoff × 2^(k−1))` plus a deterministic jitter
     /// derived from the config hash (see [`durable::backoff_delay`]).
     pub backoff: Duration,
-    /// Ceiling on the exponential backoff between retries.
-    pub backoff_cap: Duration,
     /// Append each completed report to this JSONL run-manifest.
     pub manifest: Option<PathBuf>,
     /// When manifest appends are pushed to stable storage.
@@ -205,7 +206,6 @@ impl Default for SupervisorConfig {
             retries: 0,
             timeout: None,
             backoff: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(5),
             manifest: None,
             fsync: FsyncPolicy::Always,
             manifest_faults: IoFaultPlan::none(),
@@ -444,24 +444,12 @@ pub fn run_supervised(
     let slots: Vec<Mutex<Option<Result<RunReport, FailureRecord>>>> =
         outcomes.iter().map(|_| Mutex::new(None)).collect();
     let manifest_error: Mutex<Option<GraphmemError>> = Mutex::new(None);
-    let cancelled = || {
-        config
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-            || lock_clean(&manifest_error).is_some()
-    };
 
     let work = || loop {
         let t = next.fetch_add(1, Ordering::Relaxed);
         let Some(&index) = todo.get(t) else { return };
-        let outcome = if cancelled() {
-            Err(FailureRecord {
-                index,
-                config_hash: hashes[index].clone(),
-                attempts: 0,
-                error: GraphmemError::Interrupted,
-            })
+        let outcome = if lock_clean(&manifest_error).is_some() {
+            Err(interrupted(index, &hashes[index]))
         } else {
             supervise_one(index, &experiments[index], &hashes[index], config)
         };
@@ -470,7 +458,7 @@ pub fn run_supervised(
                 let res = lock_clean(writer).append(&hashes[index], report);
                 if let Err(e) = res {
                     // First writer error wins; everything after
-                    // drains as Interrupted via `cancelled()`.
+                    // drains as Interrupted.
                     lock_clean(&manifest_error).get_or_insert(e);
                 }
             }
@@ -478,10 +466,7 @@ pub fn run_supervised(
         *lock_clean(&slots[index]) = Some(outcome);
     };
     // The calling thread is one of the workers, so a single-threaded run
-    // spawns nothing. A caller that runs one config at a time (the run
-    // server's workers) keeps every run on its own long-lived thread, and
-    // so in that thread's malloc arena rather than in whichever arena a
-    // fresh thread picks up.
+    // spawns nothing.
     std::thread::scope(|scope| {
         for _ in 1..config.threads.min(todo.len().max(1)) {
             scope.spawn(work);
@@ -518,14 +503,27 @@ fn lock_clean<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Run one experiment to its final outcome: breaker admission, attempts,
-/// backoff, telemetry.
-fn supervise_one(
+/// Run one experiment to its final outcome under `config`: the cancel
+/// check, breaker admission, attempts with the fault `config.faults`
+/// plans for `index`, backoff and telemetry. `hash` is the experiment's
+/// [`Experiment::config_hash`]. [`run_supervised`] calls this once per
+/// grid slot; a caller that schedules configs itself (the experiment
+/// service) calls it directly, and `config`'s grid-level fields
+/// (`threads`, `manifest`, `resume` and their fsync and IO faults) do
+/// not apply.
+pub fn supervise_one(
     index: usize,
     experiment: &Experiment,
     hash: &str,
     config: &SupervisorConfig,
 ) -> Result<RunReport, FailureRecord> {
+    if config
+        .cancel
+        .as_ref()
+        .is_some_and(|c| c.load(Ordering::Relaxed))
+    {
+        return Err(interrupted(index, hash));
+    }
     let decision = match &config.breakers {
         Some(b) => b.admit(hash),
         None => BreakerDecision::Admit,
@@ -578,7 +576,7 @@ fn supervise_one(
                 });
                 std::thread::sleep(durable::backoff_delay(
                     config.backoff,
-                    config.backoff_cap,
+                    BACKOFF_CAP,
                     attempt,
                     seed,
                 ));
@@ -611,6 +609,17 @@ fn supervise_one(
                 });
             }
         }
+    }
+}
+
+/// The record of a config that was never started because its run was
+/// cancelled.
+fn interrupted(index: usize, hash: &str) -> FailureRecord {
+    FailureRecord {
+        index,
+        config_hash: hash.to_string(),
+        attempts: 0,
+        error: GraphmemError::Interrupted,
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`RunSpec`]s (single configs or sweep grids), a bounded job queue
 //! feeds a worker pool that executes each config
 //! through the fault-tolerant supervisor
-//! ([`graphmem_core::run_supervised`]), and a two-tier content-addressed
+//! ([`graphmem_core::supervise_one`]), and a two-tier content-addressed
 //! [`ResultStore`] keyed on the FNV-1a `config_hash` makes repeated
 //! submissions of the same config return the *byte-identical*
 //! `RunReport` JSON without re-running.
@@ -44,7 +44,7 @@ use std::time::Duration;
 use graphmem_core::breaker::{BreakerConfig, CircuitBreakers};
 use graphmem_core::durable::{FsyncPolicy, IoFaultPlan};
 use graphmem_core::{
-    graphcache, run_supervised, Experiment, FaultPlan, GraphmemError, RunSpec, SupervisorConfig,
+    graphcache, supervise_one, Experiment, FaultPlan, GraphmemError, RunSpec, SupervisorConfig,
     SweepKind,
 };
 use graphmem_telemetry::counters::{self, Field};
@@ -66,11 +66,6 @@ pub struct ServerConfig {
     /// Durable result-store directory; `None` keeps results in memory
     /// only.
     pub cache_dir: Option<PathBuf>,
-    /// Hot-tier result entries held in memory.
-    pub mem_entries: usize,
-    /// Prepared-graph cache entries (raised to `workers` if smaller, so
-    /// concurrent workers on distinct graphs don't thrash each other).
-    pub graph_cache_entries: usize,
     /// Supervisor retries per config (transient failures only).
     pub retries: u32,
     /// Optional per-config watchdog timeout.
@@ -90,15 +85,17 @@ pub struct ServerConfig {
     pub breaker_cooldown: Duration,
 }
 
+/// The service's default bind address, and where `graphmem submit` looks
+/// for it.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
+
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            addr: "127.0.0.1:7171".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             workers: 2,
             queue_capacity: 64,
             cache_dir: None,
-            mem_entries: store::DEFAULT_MEM_ENTRIES,
-            graph_cache_entries: graphcache::DEFAULT_ENTRIES,
             retries: 1,
             timeout: None,
             fsync: FsyncPolicy::Always,
@@ -150,10 +147,10 @@ struct ServerState {
     governor_promotions: AtomicU64,
     governor_demotions: AtomicU64,
     governor_denied: AtomicU64,
-    retries: u32,
-    timeout: Option<Duration>,
     breakers: Arc<CircuitBreakers>,
-    compute_faults: FaultPlan,
+    /// How every executed config is supervised: retries, watchdog,
+    /// compute faults, breakers, and the shutdown flag as its cancel.
+    supervisor: SupervisorConfig,
     /// Executed (non-cached) configs so far — the index the compute
     /// fault plan keys on.
     task_clock: AtomicU64,
@@ -178,15 +175,22 @@ impl Server {
     /// cache directory cannot be created.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let workers_total = config.workers.max(1);
-        graphcache::shared().set_capacity(config.graph_cache_entries.max(workers_total));
+        // At least one prepared graph per worker, so concurrent workers on
+        // distinct graphs don't thrash each other.
+        graphcache::shared().set_capacity(graphcache::DEFAULT_ENTRIES.max(workers_total));
         let store = ResultStore::open_with(
-            config.cache_dir.clone(),
-            config.mem_entries,
+            config.cache_dir,
+            store::DEFAULT_MEM_ENTRIES,
             config.fsync,
-            config.io_faults.clone(),
+            config.io_faults,
         )?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let breakers = Arc::new(CircuitBreakers::new(BreakerConfig {
+            threshold: config.breaker_threshold,
+            cooldown: config.breaker_cooldown,
+        }));
 
         let state = Arc::new(ServerState {
             queue: Mutex::new(VecDeque::new()),
@@ -195,7 +199,7 @@ impl Server {
             jobs: Mutex::new(BTreeMap::new()),
             next_job: AtomicU64::new(1),
             store,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::clone(&shutdown),
             workers_total,
             workers_busy: AtomicUsize::new(0),
             jobs_submitted: AtomicU64::new(0),
@@ -205,13 +209,15 @@ impl Server {
             governor_promotions: AtomicU64::new(0),
             governor_demotions: AtomicU64::new(0),
             governor_denied: AtomicU64::new(0),
-            retries: config.retries,
-            timeout: config.timeout,
-            breakers: Arc::new(CircuitBreakers::new(BreakerConfig {
-                threshold: config.breaker_threshold,
-                cooldown: config.breaker_cooldown,
-            })),
-            compute_faults: config.compute_faults.clone(),
+            breakers: Arc::clone(&breakers),
+            supervisor: SupervisorConfig {
+                retries: config.retries,
+                timeout: config.timeout,
+                faults: config.compute_faults,
+                breakers: Some(breakers),
+                cancel: Some(shutdown),
+                ..SupervisorConfig::default()
+            },
             task_clock: AtomicU64::new(0),
         });
 
@@ -345,64 +351,34 @@ fn run_task(state: &ServerState, task: &Task) {
     // Consume one tick of the chaos clock per *executed* config so the
     // `--chaos` indices mean "the Nth config that actually runs".
     let chaos_index = state.task_clock.fetch_add(1, Ordering::SeqCst) as usize;
-    let faults = match state.compute_faults.fault_for(chaos_index) {
-        Some(fault) => FaultPlan::none().inject(0, fault.clone()),
-        None => FaultPlan::none(),
-    };
-    let supervisor = SupervisorConfig {
-        threads: 1,
-        retries: state.retries,
-        timeout: state.timeout,
-        cancel: Some(Arc::clone(&state.shutdown)),
-        faults,
-        breakers: Some(Arc::clone(&state.breakers)),
-        ..SupervisorConfig::default()
-    };
-    let settled = match run_supervised(std::slice::from_ref(&task.exp), &supervisor) {
-        Ok(outcome) => match outcome.outcomes.into_iter().next() {
-            Some(Ok(report)) => {
-                if let Some(gov) = &report.governor {
-                    state
-                        .governor_promotions
-                        .fetch_add(gov.promotions, Ordering::Relaxed);
-                    state
-                        .governor_demotions
-                        .fetch_add(gov.demotions, Ordering::Relaxed);
-                    state
-                        .governor_denied
-                        .fetch_add(gov.denied_by_fragmentation, Ordering::Relaxed);
-                }
-                let json = report.to_json();
-                if let Err(err) = state.store.put(hash, &json) {
-                    eprintln!("graphmem-server: result flush failed for {hash}: {err}");
-                }
-                state.configs_done.fetch_add(1, Ordering::Relaxed);
-                ConfigState::Done { cached: false }
+    let settled = match supervise_one(chaos_index, &task.exp, hash, &state.supervisor) {
+        Ok(report) => {
+            if let Some(gov) = &report.governor {
+                state
+                    .governor_promotions
+                    .fetch_add(gov.promotions, Ordering::Relaxed);
+                state
+                    .governor_demotions
+                    .fetch_add(gov.demotions, Ordering::Relaxed);
+                state
+                    .governor_denied
+                    .fetch_add(gov.denied_by_fragmentation, Ordering::Relaxed);
             }
-            Some(Err(failure)) => {
-                if matches!(failure.error, GraphmemError::Interrupted) {
-                    ConfigState::Interrupted
-                } else {
-                    state.configs_failed.fetch_add(1, Ordering::Relaxed);
-                    ConfigState::Failed {
-                        code: failure.error.code().to_string(),
-                        message: failure.error.to_string(),
-                    }
-                }
+            let json = report.to_json();
+            if let Err(err) = state.store.put(hash, &json) {
+                eprintln!("graphmem-server: result flush failed for {hash}: {err}");
             }
-            None => {
-                state.configs_failed.fetch_add(1, Ordering::Relaxed);
-                ConfigState::Failed {
-                    code: "internal".to_string(),
-                    message: "supervisor returned no outcome".to_string(),
-                }
-            }
-        },
-        Err(err) => {
+            state.configs_done.fetch_add(1, Ordering::Relaxed);
+            ConfigState::Done { cached: false }
+        }
+        Err(failure) if matches!(failure.error, GraphmemError::Interrupted) => {
+            ConfigState::Interrupted
+        }
+        Err(failure) => {
             state.configs_failed.fetch_add(1, Ordering::Relaxed);
             ConfigState::Failed {
-                code: err.code().to_string(),
-                message: err.to_string(),
+                code: failure.error.code().to_string(),
+                message: failure.error.to_string(),
             }
         }
     };
