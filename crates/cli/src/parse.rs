@@ -750,8 +750,8 @@ mod tests {
         assert!(e.to_string().contains("--timeout"), "{e}");
         let e = parse(&args("serve --breaker-cooldown 1e300")).unwrap_err();
         assert!(e.to_string().contains("--breaker-cooldown"), "{e}");
-        // Sub-millisecond watchdogs keep their value instead of
-        // truncating to a 0 ms watchdog that fails every config.
+        // A sub-millisecond watchdog keeps its value: truncated to 0 ms
+        // it would fail every config.
         let Command::Serve(s) = parse(&args("serve --timeout 0.0004")).unwrap() else {
             panic!()
         };
@@ -860,7 +860,7 @@ mod tests {
             }
         }
         // Refusals whose message also says why, and whole command lines
-        // that used to exit 0 with the mis-scoped flags ignored.
+        // mixing flags of several subcommands.
         for (line, needles) in [
             (
                 "run --dataset wiki --series x.csv",
