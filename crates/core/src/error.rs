@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::io;
+use std::time::Duration;
 
 use graphmem_graph::GraphError;
 
@@ -35,8 +36,8 @@ pub enum GraphmemError {
     Panic(String),
     /// An experiment exceeded the supervisor's wall-clock watchdog.
     Timeout {
-        /// The configured limit in milliseconds.
-        limit_ms: u64,
+        /// The configured limit, exactly as the watchdog held it.
+        limit: Duration,
     },
     /// A run-manifest line could not be parsed.
     Manifest {
@@ -105,8 +106,8 @@ impl fmt::Display for GraphmemError {
             GraphmemError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             GraphmemError::Resource(msg) => write!(f, "resource exhausted: {msg}"),
             GraphmemError::Panic(msg) => write!(f, "experiment panicked: {msg}"),
-            GraphmemError::Timeout { limit_ms } => {
-                write!(f, "experiment exceeded the {limit_ms} ms watchdog")
+            GraphmemError::Timeout { limit } => {
+                write!(f, "experiment exceeded the {limit:?} watchdog")
             }
             GraphmemError::Manifest {
                 path,
@@ -145,7 +146,8 @@ mod tests {
     fn transience_is_limited_to_io() {
         assert!(GraphmemError::io("write manifest", io::Error::other("disk")).is_transient());
         assert!(!GraphmemError::Panic("boom".into()).is_transient());
-        assert!(!GraphmemError::Timeout { limit_ms: 100 }.is_transient());
+        let limit = Duration::from_millis(100);
+        assert!(!GraphmemError::Timeout { limit }.is_transient());
         assert!(!GraphmemError::InvalidConfig("bad".into()).is_transient());
         assert!(!GraphmemError::Interrupted.is_transient());
         // Graph transience delegates to the IO kind underneath.
@@ -164,10 +166,13 @@ mod tests {
         };
         assert_eq!(e.code(), "manifest");
         assert_eq!(e.to_string(), "manifest 'runs.jsonl' line 7: bad hash");
-        assert_eq!(GraphmemError::Timeout { limit_ms: 250 }.code(), "timeout");
+        let timeout = GraphmemError::Timeout {
+            limit: Duration::from_millis(250),
+        };
+        assert_eq!(timeout.code(), "timeout");
         assert_eq!(
-            GraphmemError::Timeout { limit_ms: 250 }.to_string(),
-            "experiment exceeded the 250 ms watchdog"
+            timeout.to_string(),
+            "experiment exceeded the 250ms watchdog"
         );
         let open = GraphmemError::CircuitOpen {
             config_hash: "deadbeef".into(),

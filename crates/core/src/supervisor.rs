@@ -651,9 +651,7 @@ fn run_attempt(
             });
             match rx.recv_timeout(limit) {
                 Ok(result) => result,
-                Err(_) => Err(GraphmemError::Timeout {
-                    limit_ms: limit.as_millis() as u64,
-                }),
+                Err(_) => Err(GraphmemError::Timeout { limit }),
             }
         }
     }
@@ -792,9 +790,26 @@ mod tests {
         assert_eq!(failures.len(), 1);
         assert!(matches!(
             failures[0].error,
-            GraphmemError::Timeout { limit_ms: 400 }
+            GraphmemError::Timeout { limit } if limit == Duration::from_millis(400)
         ));
         assert_eq!(outcome.reports().count(), 1);
+    }
+
+    #[test]
+    fn sub_millisecond_watchdog_reports_its_exact_limit() {
+        let config = SupervisorConfig {
+            timeout: Some(Duration::from_micros(400)),
+            faults: FaultPlan::none().inject(0, FaultSpec::Delay { ms: 200 }),
+            ..SupervisorConfig::default()
+        };
+        let outcome = run_supervised(&tiny_grid(1), &config).unwrap();
+        let failures: Vec<_> = outcome.failures().collect();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].error.code(), "timeout");
+        assert_eq!(
+            failures[0].error.to_string(),
+            "experiment exceeded the 400µs watchdog"
+        );
     }
 
     #[test]

@@ -88,7 +88,8 @@ impl Csr {
     }
 
     /// Relabel vertices: `perm[old] = new`. Adjacency lists are re-sorted
-    /// by new neighbor ID (as an offline preprocessing pipeline would).
+    /// by new neighbor ID (as an offline preprocessing pipeline would);
+    /// in a weighted graph, parallel edges are ordered by weight.
     ///
     /// # Panics
     ///
@@ -104,24 +105,35 @@ impl Csr {
             );
             inverse[new as usize] = old as VertexId;
         }
-        let mut builder = CsrBuilder::new(self.num_vertices(), self.is_weighted());
-        for &old_v in inverse.iter().take(n) {
-            let mut adj: Vec<(VertexId, u32)> = self
-                .neighbors(old_v)
-                .iter()
-                .enumerate()
-                .map(|(i, &u)| {
-                    let w = self.weights(old_v).map_or(0, |ws| ws[i]);
-                    (perm[u as usize], w)
-                })
-                .collect();
-            adj.sort_unstable();
-            for (u, w) in adj {
-                builder.push_edge_to_last_vertex(u, w);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut edges = Vec::with_capacity(self.edges.len());
+        let mut values = self.values.as_ref().map(|v| Vec::with_capacity(v.len()));
+        // Weighted lists sort (id, weight) pairs in one reused buffer.
+        let mut pairs: Vec<(VertexId, u32)> = Vec::new();
+        for &old_v in &inverse {
+            let relabeled = self.neighbors(old_v).iter().map(|&u| perm[u as usize]);
+            match (&mut values, self.weights(old_v)) {
+                (Some(vals), Some(ws)) => {
+                    pairs.clear();
+                    pairs.extend(relabeled.zip(ws.iter().copied()));
+                    pairs.sort_unstable();
+                    edges.extend(pairs.iter().map(|&(u, _)| u));
+                    vals.extend(pairs.iter().map(|&(_, w)| w));
+                }
+                _ => {
+                    let start = edges.len();
+                    edges.extend(relabeled);
+                    edges[start..].sort_unstable();
+                }
             }
-            builder.finish_vertex();
+            offsets.push(edges.len() as u64);
         }
-        builder.build()
+        Csr {
+            offsets,
+            edges,
+            values,
+        }
     }
 
     /// Out-degrees of all vertices.

@@ -1,4 +1,10 @@
 //! R-MAT / Kronecker synthetic power-law graph generation.
+//!
+//! Every edge is drawn from one serial [`StdRng`] stream, so a graph is a
+//! pure function of its [`RmatConfig`]. The stream is SplitMix64, which is
+//! counter-based: draw `k` is `mix(seed + k·γ)`. A generator that split
+//! the edges into chunks and jumped each chunk's stream to its first draw
+//! could therefore run in parallel and still produce the same bytes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,24 +106,24 @@ impl RmatConfig {
         }
     }
 
+    /// One R-MAT edge: `scale` draws, each picking a quadrant.
+    ///
+    /// Both quadrant bits come from comparisons on the same draw `r`, with
+    /// no branch on it: the source bit is set in the bottom half
+    /// (`r >= a+b`), the destination bit in the right half
+    /// (`a <= r < a+b` or `r >= a+b+c`). The draws are random, so a
+    /// four-way branch on `r` would be mispredicted on a large share of
+    /// them.
     fn sample_edge(&self, rng: &mut StdRng) -> (VertexId, VertexId) {
         let (mut src, mut dst) = (0u32, 0u32);
         let ab = self.a + self.b;
         let abc = ab + self.c;
         for _ in 0..self.scale {
-            src <<= 1;
-            dst <<= 1;
             let r: f64 = rng.random();
-            if r < self.a {
-                // top-left
-            } else if r < ab {
-                dst |= 1;
-            } else if r < abc {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
+            let bottom = r >= ab;
+            let right = (r >= self.a) & !bottom | (r >= abc);
+            src = src << 1 | u32::from(bottom);
+            dst = dst << 1 | u32::from(right);
         }
         (src, dst)
     }

@@ -7,6 +7,11 @@ use crate::{RngCore, SeedableRng};
 /// SplitMix64 passes BigCrush on its 64-bit output stream and needs only one
 /// word of state; graphmem uses it for reproducible graph synthesis, not
 /// cryptography.
+///
+/// The generator is counter-based: the state advances by the constant
+/// γ = `0x9E37_79B9_7F4A_7C15` per draw, so draw `k` (from 1) is
+/// `mix(seed + k·γ)` and any position in the stream can be reached
+/// without drawing the ones before it.
 #[derive(Debug, Clone)]
 pub struct StdRng {
     state: u64,

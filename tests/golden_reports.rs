@@ -17,6 +17,11 @@
 //! telemetry event stream of two runs and the access trace of a third,
 //! each recorded alongside an unobserved twin that must match it. An
 //! observer that changed which pipeline runs would move these.
+//!
+//! The graphs every run starts from are pinned as well
+//! (`golden/graph_digests.txt`): a digest of the generator's CSR arrays
+//! for every dataset preset at two scales, two seeds, with and without
+//! weights. A faster generator must reproduce them exactly.
 
 use graphmem_core::{
     Experiment, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan, RunReport, RunSpec,
@@ -31,6 +36,7 @@ use graphmem_workloads::{default_root, AllocOrder, GraphArrays, Kernel};
 const FIXTURE: &str = include_str!("golden/report_digests.txt");
 const OBSERVATION: &str = include_str!("golden/observation_digests.txt");
 const ORACLE: &str = include_str!("golden/oracle_digests.txt");
+const GRAPHS: &str = include_str!("golden/graph_digests.txt");
 
 const KERNELS: [Kernel; 4] = [Kernel::Bfs, Kernel::Pagerank, Kernel::Sssp, Kernel::Cc];
 
@@ -93,6 +99,40 @@ fn report_digests_match_fixture() {
         actual, expected,
         "report digests moved: the simulated model changed"
     );
+}
+
+/// The generated graphs are pinned: FNV-1a over the little-endian bytes
+/// of `offsets`, `edges` and (when weighted) `values`, for every preset ×
+/// scale {8, 12} × seed offset {0, 1} × weighted {no, yes}.
+#[test]
+fn graph_digests_match_fixture() {
+    let mut actual = String::new();
+    for dataset in Dataset::ALL {
+        for scale in [8, 12] {
+            for seed_offset in [0, 1] {
+                for weighted in [false, true] {
+                    let g = dataset.generate_with_seed(scale, weighted, seed_offset);
+                    let mut h = Fnv1a::default();
+                    for &o in g.offsets() {
+                        h.update(&o.to_le_bytes());
+                    }
+                    for &e in g.edges() {
+                        h.update(&e.to_le_bytes());
+                    }
+                    for &w in g.values().unwrap_or_default() {
+                        h.update(&w.to_le_bytes());
+                    }
+                    let kind = if weighted { "weighted" } else { "unweighted" };
+                    actual.push_str(&format!(
+                        "{dataset} {scale} {seed_offset} {kind} {} {}\n",
+                        g.num_edges(),
+                        h.hex()
+                    ));
+                }
+            }
+        }
+    }
+    assert_fixture_section(GRAPHS, "csr", &actual);
 }
 
 /// A tracer recording every event kind, with a ring large enough that
