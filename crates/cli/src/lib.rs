@@ -11,6 +11,7 @@
 //! graphmem sweep <pressure|frag|selectivity> [OPTIONS]
 //! graphmem serve [OPTIONS]             # concurrent experiment service
 //! graphmem submit [OPTIONS]            # send a spec to a running service
+//! graphmem claims [--scale S] [--only ID,...]  # the paper's figures as checked claims
 //! graphmem datasets                    # list dataset presets
 //! graphmem help
 //! ```
@@ -33,6 +34,8 @@ USAGE:
     graphmem sweep <pressure|frag|selectivity> [OPTIONS]
     graphmem serve [OPTIONS]                 start the experiment service
     graphmem submit [OPTIONS]                submit a spec to a running service
+    graphmem claims [OPTIONS]                regenerate the paper's figures and
+                                             check its claims
     graphmem datasets                        list dataset presets
     graphmem help                            show this text
 
@@ -91,6 +94,14 @@ SUBMIT (submit only):
     --sweep <pressure|frag|selectivity>      expand into a sweep grid server-side
     --json                                   echo raw progress JSONL
 
+CLAIMS (claims only):
+    --scale <tiny|small|paper>               graph sizes: tiny = scale 15 on 64 KiB
+                                             huge pages, small = paper - 2 [paper]
+    --only <ID,...>                          run only these claims (e.g. fig01,table2)
+                                             [all]
+    Writes each figure's CSV to <target>/experiments/ (target = CARGO_TARGET_DIR
+    or the workspace's target/) and exits 1 if a claim judged at the scale fails.
+
 TELEMETRY (run only):
     --telemetry <PATH>                       stream kernel events to PATH (JSONL)
     --series <PATH>                          write the sampled series to PATH (CSV);
@@ -117,4 +128,5 @@ EXAMPLES:
     graphmem sweep pressure --policy thp --manifest runs.jsonl --retries 2 --timeout 600
     graphmem serve --workers 4 --cache-dir results/
     graphmem submit --sweep pressure --dataset wiki --scale 12 --policy thp
+    graphmem claims --scale tiny --only fig01,fig03
 ";

@@ -2,8 +2,9 @@
 //!
 //! Each subcommand parses straight into the type it runs on: `run` into a
 //! [`RunArgs`], `sweep` into a [`RunSpec`] and a [`SupervisorConfig`],
-//! `serve` into a [`ServerConfig`], and `submit` into a [`SubmitArgs`]. A
-//! flag the subcommand does not read is a [`ParseError`] naming it.
+//! `serve` into a [`ServerConfig`], `submit` into a [`SubmitArgs`], and
+//! `claims` into a [`Scale`] and the selected [`Claim`]s. A flag the
+//! subcommand does not read is a [`ParseError`] naming it.
 //!
 //! Flags lower into the typed [`RunSpec`] from `graphmem-core` through
 //! the shared token grammar in [`graphmem_core::spec`] — the same
@@ -15,6 +16,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
 
+use graphmem_core::claims::{self, Claim, Scale};
 use graphmem_core::spec::{
     dataset_from_token, file_from_token, kernel_from_token, order_from_token, policy_from_token,
     preprocess_from_token, surplus_from_token,
@@ -37,6 +39,9 @@ pub enum Command {
     Serve(ServerConfig),
     /// `graphmem submit`
     Submit(SubmitArgs),
+    /// `graphmem claims`: the scale and the claims to run (all of the
+    /// registry unless `--only` narrowed it).
+    Claims(Scale, Vec<&'static Claim>),
     /// `graphmem datasets`
     Datasets,
     /// `graphmem help`
@@ -122,6 +127,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         Some("serve") => Ok(Command::Serve(parse_serve_args(it.as_slice())?)),
         Some("submit") => Ok(Command::Submit(parse_submit_args(it.as_slice())?)),
+        Some("claims") => {
+            let (scale, selected) = parse_claims_args(it.as_slice())?;
+            Ok(Command::Claims(scale, selected))
+        }
         Some(other) => err(format!("unknown command '{other}' (try 'graphmem help')")),
     }
 }
@@ -355,6 +364,36 @@ fn parse_submit_args(args: &[String]) -> Result<SubmitArgs, ParseError> {
     })?;
     submit.spec = spec.finish();
     Ok(submit)
+}
+
+fn parse_claims_args(args: &[String]) -> Result<(Scale, Vec<&'static Claim>), ParseError> {
+    let mut scale = Scale::Paper;
+    let mut selected: Vec<&'static Claim> = claims::REGISTRY.iter().collect();
+    walk("claims", args, |flag, it| {
+        match flag {
+            "--scale" => {
+                scale = Scale::from_token(next_value(it, flag)?)
+                    .map_err(|e| ParseError(format!("{flag}: {e}")))?;
+            }
+            "--only" => {
+                selected = next_value(it, flag)?
+                    .split(',')
+                    .map(|id| {
+                        claims::find(id).ok_or_else(|| {
+                            let ids: Vec<&str> = claims::REGISTRY.iter().map(|c| c.id).collect();
+                            ParseError(format!(
+                                "{flag}: unknown claim '{id}' (one of {})",
+                                ids.join("|")
+                            ))
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok((scale, selected))
 }
 
 /// Parse the fault-injection list after `flag`: a comma list of
@@ -771,7 +810,7 @@ mod tests {
             if !line.starts_with(' ') {
                 // A section header such as "SWEEP (sweep only):" names the
                 // subcommands its flags belong to.
-                section = ["run", "sweep", "serve", "submit"]
+                section = ["run", "sweep", "serve", "submit", "claims"]
                     .into_iter()
                     .filter(|cmd| {
                         line.split_once('(').is_some_and(|(_, names)| {
@@ -800,12 +839,15 @@ mod tests {
         flags
     }
 
-    /// A valid value for each value-taking flag in [`USAGE`].
-    fn sample_value(flag: &str) -> &'static str {
+    /// A valid value for each value-taking flag in [`USAGE`], as `cmd`
+    /// reads it.
+    fn sample_value(cmd: &str, flag: &str) -> &'static str {
         match flag {
             "--dataset" => "wiki",
             "--kernel" => "pr",
+            "--scale" if cmd == "claims" => "tiny",
             "--scale" => "11",
+            "--only" => "fig01,table1",
             "--policy" => "thp",
             "--governor" => "epoch=100000",
             "--khugepaged" => "off",
@@ -840,12 +882,13 @@ mod tests {
             ("sweep", "sweep frag"),
             ("serve", "serve"),
             ("submit", "submit"),
+            ("claims", "claims"),
         ] {
             for (flag, (takes_value, listed_for)) in &flags {
                 let mut argv = args(words);
                 argv.push(flag.clone());
                 if *takes_value {
-                    argv.push(sample_value(flag).to_string());
+                    argv.push(sample_value(cmd, flag).to_string());
                 }
                 if flag == "--series" {
                     argv.extend(args("--sample-interval 100000"));
@@ -882,6 +925,9 @@ mod tests {
             ("run --threads 4", &["--threads", "run"]),
             ("serve --dataset wiki", &["--dataset", "serve"]),
             ("submit --manifest runs.jsonl", &["--manifest", "submit"]),
+            ("claims --threads 2", &["--threads", "claims"]),
+            ("claims --scale 11", &["--scale", "tiny|small|paper"]),
+            ("claims --only fig99", &["--only", "fig99", "fig01"]),
         ] {
             let e = parse(&args(line)).unwrap_err().to_string();
             for needle in needles {
@@ -897,7 +943,7 @@ mod tests {
             Command::Run(run) => run.spec.to_experiment().map(drop),
             Command::Sweep(kind, spec, _) => spec.experiments(Some(kind)).map(drop),
             Command::Submit(submit) => submit.spec.experiments(submit.sweep).map(drop),
-            Command::Serve(_) | Command::Datasets | Command::Help => Ok(()),
+            Command::Serve(_) | Command::Claims(..) | Command::Datasets | Command::Help => Ok(()),
         })
     }
 
@@ -918,6 +964,7 @@ mod tests {
             "serve",
             "submit",
             "submit",
+            "claims",
             "datasets",
             "help",
             "frobnicate",
@@ -972,6 +1019,7 @@ mod tests {
         ];
         let pick = |rng: &mut proptest::TestRng, n: usize| rng.below(n as u64) as usize;
         let mut argv = args(COMMANDS[pick(rng, COMMANDS.len())]);
+        let cmd = argv.first().cloned().unwrap_or_default();
         for _ in 0..rng.below(7) {
             let (flag, takes_value) = &flags[pick(rng, flags.len())];
             argv.push(flag.clone());
@@ -979,7 +1027,7 @@ mod tests {
                 argv.push(if rng.below(2) == 0 {
                     MANGLED[pick(rng, MANGLED.len())].to_string()
                 } else if *takes_value {
-                    sample_value(flag).to_string()
+                    sample_value(&cmd, flag).to_string()
                 } else {
                     "stray".to_string()
                 });

@@ -1,9 +1,13 @@
 //! Command execution: lower parsed specs through `graphmem-core` and
 //! print results (or drive / talk to the experiment service).
 
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
+use graphmem_core::claims::{self, Claim, Scale, Status};
 use graphmem_core::{
     run_supervised, RunReport, RunSpec, SupervisorConfig, SweepKind, SweepOutcome,
 };
@@ -46,6 +50,7 @@ pub fn execute(cmd: Command) -> u8 {
         Command::Sweep(kind, spec, config) => sweep_cmd(kind, &spec, config),
         Command::Serve(config) => serve_cmd(config),
         Command::Submit(args) => submit_cmd(&args),
+        Command::Claims(scale, selected) => claims_cmd(scale, &selected),
     }
 }
 
@@ -259,6 +264,86 @@ fn sweep_cmd(kind: SweepKind, spec: &RunSpec, config: SupervisorConfig) -> u8 {
     }
 }
 
+/// The workspace root. Relative paths start here, wherever the binary
+/// is run from.
+const WORKSPACE_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// `<target>/experiments`, where `<target>` is `target_dir`
+/// (`CARGO_TARGET_DIR`) or `target`; a relative one is taken from the
+/// workspace root.
+fn experiments_dir(target_dir: Option<OsString>) -> PathBuf {
+    let target = target_dir.unwrap_or_else(|| "target".into());
+    Path::new(WORKSPACE_ROOT).join(target).join("experiments")
+}
+
+fn claims_cmd(scale: Scale, selected: &[&'static Claim]) -> u8 {
+    let config = SupervisorConfig {
+        threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cancel: Some(sigint_flag()),
+        ..SupervisorConfig::default()
+    };
+    let started = Instant::now();
+    let outcome = match claims::run(selected, scale, &config) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return EXIT_FAILURE;
+        }
+    };
+    let dir = experiments_dir(std::env::var_os("CARGO_TARGET_DIR"));
+    let dir = match std::fs::create_dir_all(&dir).and_then(|()| dir.canonicalize()) {
+        Ok(dir) => dir,
+        Err(e) => {
+            eprintln!("cannot create {}: {e}", dir.display());
+            return EXIT_FAILURE;
+        }
+    };
+    let mut written = 0;
+    for table in outcome.claims.iter().flat_map(|c| &c.tables) {
+        let path = dir.join(format!("{}.csv", table.name));
+        if let Err(e) = std::fs::write(&path, table.to_csv()) {
+            eprintln!("cannot write {}: {e}", path.display());
+            return EXIT_FAILURE;
+        }
+        written += 1;
+    }
+    println!("{:<14} {:<8} {:<11} statement", "claim", "paper", "status");
+    for c in &outcome.claims {
+        let status = match &c.status {
+            Status::Holds => "holds",
+            Status::Fails(_) => "FAILS",
+            Status::NotJudged => "not judged",
+            Status::Broken { .. } => "BROKEN",
+        };
+        println!(
+            "{:<14} {:<8} {:<11} {}",
+            c.claim.id, c.claim.paper, status, c.claim.statement
+        );
+        match &c.status {
+            Status::Fails(failures) => failures.iter().for_each(|f| println!("{:34}- {f}", "")),
+            Status::Broken { config_hash, error } => {
+                println!("{:34}- config {config_hash}: {error}", "");
+            }
+            Status::Holds | Status::NotJudged => {}
+        }
+    }
+    println!(
+        "scale {scale}: {} experiments in the grids, {} distinct configs run on {} workers in {:.1} s; wrote {written} CSVs to {}",
+        outcome.experiments,
+        outcome.distinct,
+        config.threads,
+        started.elapsed().as_secs_f64(),
+        dir.display()
+    );
+    if sigint_flag().load(Ordering::Relaxed) {
+        EXIT_INTERRUPTED
+    } else if outcome.passed() {
+        EXIT_OK
+    } else {
+        EXIT_FAILURE
+    }
+}
+
 fn serve_cmd(config: ServerConfig) -> u8 {
     let addr = config.addr.clone();
     let server = match Server::start(config) {
@@ -411,6 +496,25 @@ mod tests {
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn experiments_dir_is_anchored_at_the_workspace_root() {
+        let root = Path::new(WORKSPACE_ROOT);
+        assert!(root.join("Cargo.lock").is_file());
+        assert_eq!(
+            experiments_dir(None),
+            root.join("target").join("experiments")
+        );
+        assert_eq!(
+            experiments_dir(Some("target-bench".into())),
+            root.join("target-bench").join("experiments")
+        );
+        let absolute = std::env::temp_dir().join("graphmem-target");
+        assert_eq!(
+            experiments_dir(Some(absolute.clone().into())),
+            absolute.join("experiments")
+        );
     }
 
     /// Build and run one sweep's experiments on `threads` workers,

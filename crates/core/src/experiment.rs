@@ -195,6 +195,12 @@ impl Experiment {
         self
     }
 
+    /// The attached telemetry handle (disabled unless [`Self::telemetry`]
+    /// set one).
+    pub fn tracer(&self) -> &Tracer {
+        &self.telemetry
+    }
+
     /// The dataset under test.
     pub fn dataset(&self) -> Dataset {
         self.spec.dataset

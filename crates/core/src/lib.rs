@@ -20,7 +20,11 @@
 //!   policy, memory condition, …) plus run-local knobs, set through
 //!   chained setters and returning a [`RunReport`] with runtimes, TLB
 //!   miss rates, and huge-page usage.
-//! * [`sweep`] — parameter sweeps used by the figure-reproduction harness.
+//! * [`claims`] — the paper's figures and tables as executable claims:
+//!   one registry of experiment grids, CSV projections and predicates,
+//!   run deduplicated through the supervisor.
+//! * [`sweep`] — the paper's sensitivity ladders and the all-or-nothing
+//!   parallel runner.
 //! * [`supervisor`] — fault-tolerant sweep orchestration: panic
 //!   isolation, retry with backoff, watchdog timeouts, JSONL
 //!   checkpoint/resume manifests, and deterministic fault injection.
@@ -59,6 +63,7 @@
 mod attribution;
 pub mod autotune;
 pub mod breaker;
+pub mod claims;
 mod condition;
 pub mod durable;
 mod error;

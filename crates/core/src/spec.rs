@@ -269,11 +269,16 @@ impl SweepKind {
     /// The grid of experiments this sweep runs over `proto`, in
     /// [`Self::params`] order.
     pub fn experiments(&self, proto: &Experiment) -> Vec<Experiment> {
-        match self {
-            SweepKind::Pressure => sweep::pressure_experiments(proto, self.params()),
-            SweepKind::Fragmentation => sweep::fragmentation_experiments(proto, self.params()),
-            SweepKind::Selectivity => sweep::selectivity_experiments(proto, self.params()),
-        }
+        let at = |v: f64| match self {
+            SweepKind::Pressure => proto
+                .clone()
+                .condition(MemoryCondition::pressured(Surplus::FractionOfWss(v))),
+            SweepKind::Fragmentation => proto.clone().condition(MemoryCondition::fragmented(v)),
+            SweepKind::Selectivity => proto
+                .clone()
+                .policy(PagePolicy::SelectiveProperty { fraction: v }),
+        };
+        self.params().iter().map(|&v| at(v)).collect()
     }
 }
 

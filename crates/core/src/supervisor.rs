@@ -3,7 +3,7 @@
 //! injection.
 //!
 //! The paper's figures are grids of dozens of independent experiment
-//! runs; at larger `GRAPHMEM_SCALE` a grid takes minutes to hours. The
+//! runs; at paper scale a grid takes minutes to hours. The
 //! supervisor makes those grids robust under adversity:
 //!
 //! * **Panic isolation** — each experiment runs inside

@@ -1,9 +1,9 @@
-//! Parameter sweeps over experiments (the paper's sensitivity studies).
+//! The paper's sensitivity ladders (expanded into grids by
+//! [`SweepKind::experiments`](crate::SweepKind::experiments)) and the
+//! all-or-nothing parallel runner.
 
-use crate::condition::{MemoryCondition, Surplus};
 use crate::error::GraphmemError;
 use crate::experiment::Experiment;
-use crate::policy::PagePolicy;
 use crate::report::RunReport;
 use crate::supervisor::{run_supervised, SupervisorConfig};
 
@@ -35,75 +35,12 @@ pub fn run_parallel(
     run_supervised(&experiments, &config)?.into_reports()
 }
 
-/// The experiments a [`pressure`] sweep runs, one per fraction, in order.
-pub fn pressure_experiments(proto: &Experiment, fractions: &[f64]) -> Vec<Experiment> {
-    fractions
-        .iter()
-        .map(|&f| {
-            proto
-                .clone()
-                .condition(MemoryCondition::pressured(Surplus::FractionOfWss(f)))
-        })
-        .collect()
-}
-
-/// Run `proto` at each memory-pressure level (§4.3.1's seven 0–3 GB steps
-/// plus the oversubscribed point, expressed as fractions of WSS). Returns
-/// `(surplus_fraction, report)` pairs.
-pub fn pressure(proto: &Experiment, fractions: &[f64]) -> Vec<(f64, RunReport)> {
-    let rs: Vec<RunReport> = pressure_experiments(proto, fractions)
-        .iter()
-        .map(Experiment::run)
-        .collect();
-    fractions.iter().copied().zip(rs).collect()
-}
-
 /// The paper's pressure ladder: −6 % (oversubscribed ≈ −0.5 GB) through
 /// +35 % (≈ +3 GB) of WSS.
 pub const PRESSURE_LADDER: [f64; 8] = [-0.06, 0.0, 0.06, 0.12, 0.18, 0.24, 0.29, 0.35];
 
-/// Run `proto` at each non-movable fragmentation level with the Fig. 8/9
-/// +3 GB-equivalent surplus. Returns `(level, report)` pairs.
-pub fn fragmentation(proto: &Experiment, levels: &[f64]) -> Vec<(f64, RunReport)> {
-    let rs: Vec<RunReport> = fragmentation_experiments(proto, levels)
-        .iter()
-        .map(Experiment::run)
-        .collect();
-    levels.iter().copied().zip(rs).collect()
-}
-
-/// The experiments a [`fragmentation`] sweep runs, one per level, in order.
-pub fn fragmentation_experiments(proto: &Experiment, levels: &[f64]) -> Vec<Experiment> {
-    levels
-        .iter()
-        .map(|&l| proto.clone().condition(MemoryCondition::fragmented(l)))
-        .collect()
-}
-
 /// The paper's fragmentation levels (Fig. 9).
 pub const FRAGMENTATION_LEVELS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
-
-/// Run `proto` with selective THP at each property-array fraction
-/// (Fig. 11's 0–100 % in steps of 20). Returns `(fraction, report)` pairs.
-pub fn selectivity(proto: &Experiment, fractions: &[f64]) -> Vec<(f64, RunReport)> {
-    let rs: Vec<RunReport> = selectivity_experiments(proto, fractions)
-        .iter()
-        .map(Experiment::run)
-        .collect();
-    fractions.iter().copied().zip(rs).collect()
-}
-
-/// The experiments a [`selectivity`] sweep runs, one per fraction, in order.
-pub fn selectivity_experiments(proto: &Experiment, fractions: &[f64]) -> Vec<Experiment> {
-    fractions
-        .iter()
-        .map(|&s| {
-            proto
-                .clone()
-                .policy(PagePolicy::SelectiveProperty { fraction: s })
-        })
-        .collect()
-}
 
 /// The paper's selectivity steps (Fig. 11).
 pub const SELECTIVITY_LEVELS: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
@@ -111,6 +48,9 @@ pub const SELECTIVITY_LEVELS: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::MemoryCondition;
+    use crate::policy::PagePolicy;
+    use crate::spec::SweepKind;
     use graphmem_graph::Dataset;
     use graphmem_workloads::Kernel;
 
@@ -125,20 +65,21 @@ mod tests {
     #[test]
     fn pressure_sweep_is_ordered_and_verified() {
         let proto = proto().policy(PagePolicy::ThpSystemWide);
-        let rs = pressure(&proto, &[0.0, 0.35]);
-        assert_eq!(rs.len(), 2);
-        assert!(rs.iter().all(|(_, r)| r.verified));
+        let rs = run_parallel(SweepKind::Pressure.experiments(&proto), 2).unwrap();
+        assert_eq!(rs.len(), PRESSURE_LADDER.len());
+        assert!(rs.iter().all(|r| r.verified));
         // More surplus ⇒ at least as much huge coverage.
-        assert!(rs[1].1.huge_memory_fraction() >= rs[0].1.huge_memory_fraction());
+        let (zero, most) = (&rs[1], &rs[rs.len() - 1]);
+        assert!(most.huge_memory_fraction() >= zero.huge_memory_fraction());
     }
 
     #[test]
     fn selectivity_sweep_monotone_in_advised_bytes() {
-        let rs = selectivity(&proto(), &[0.0, 0.5, 1.0]);
-        assert!(rs.iter().all(|(_, r)| r.verified));
-        let f: Vec<f64> = rs.iter().map(|(_, r)| r.property_huge_fraction()).collect();
-        assert!(f[0] <= f[1] && f[1] <= f[2], "{f:?}");
-        assert_eq!(rs[0].1.property_huge_bytes, 0);
+        let rs = run_parallel(SweepKind::Selectivity.experiments(&proto()), 2).unwrap();
+        assert!(rs.iter().all(|r| r.verified));
+        let f: Vec<f64> = rs.iter().map(RunReport::property_huge_fraction).collect();
+        assert!(f.windows(2).all(|w| w[0] <= w[1]), "{f:?}");
+        assert_eq!(rs[0].property_huge_bytes, 0);
     }
 
     #[test]
@@ -166,7 +107,9 @@ mod tests {
 
     #[test]
     fn fragmentation_sweep_labels_condition() {
-        let rs = fragmentation(&proto().policy(PagePolicy::ThpSystemWide), &[0.5]);
-        assert!(rs[0].1.labels[4].contains("frag50%"));
+        let grid = SweepKind::Fragmentation.experiments(&proto().policy(PagePolicy::ThpSystemWide));
+        let rs = run_parallel(grid, 2).unwrap();
+        let half = FRAGMENTATION_LEVELS.iter().position(|&l| l == 0.5).unwrap();
+        assert!(rs[half].labels[4].contains("frag50%"));
     }
 }

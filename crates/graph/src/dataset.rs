@@ -106,7 +106,7 @@ impl Dataset {
         self.generate_with_scale(self.default_scale())
     }
 
-    /// Generate at an explicit scale (tests and `GRAPHMEM_SCALE` presets).
+    /// Generate at an explicit scale (tests and the claims' scale presets).
     pub fn generate_with_scale(&self, scale: u8) -> Csr {
         self.rmat_config(scale).generate()
     }

@@ -12,6 +12,11 @@ use std::net::TcpStream;
 /// bytes; anything near this limit is abuse, not traffic).
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Largest accepted request head: the request line and every header line
+/// together. A client that sends more (or never sends a newline) is
+/// refused once this many bytes are read.
+pub const MAX_HEAD: usize = 16 << 10;
+
 /// A parsed request: method, path, content negotiation, and (possibly
 /// empty) body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,17 +37,35 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Read one HTTP/1.1 request from `stream`.
+/// Read one line of the request head into `line`, charging it to the
+/// `budget` of head bytes left. Returns the bytes read (0 at end of
+/// stream).
+fn read_head_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+    line: &mut String,
+) -> io::Result<usize> {
+    let n = reader.by_ref().take(*budget as u64).read_line(line)?;
+    if n == *budget && !line.ends_with('\n') {
+        return Err(bad("request head too large"));
+    }
+    *budget -= n;
+    Ok(n)
+}
+
+/// Read one HTTP/1.1 request from `reader` (a buffered socket in the
+/// server).
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for malformed framing (bad request line,
-/// non-numeric or oversized `Content-Length`, non-UTF-8 body) and
-/// propagates socket errors.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream);
+/// Returns `InvalidData` for malformed framing (bad request line, a head
+/// over [`MAX_HEAD`], non-numeric or oversized `Content-Length`,
+/// non-UTF-8 head or body) and propagates read errors, such as
+/// `UnexpectedEof` for a body cut short.
+pub fn read_request(mut reader: impl BufRead) -> io::Result<Request> {
+    let mut budget = MAX_HEAD;
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_head_line(&mut reader, &mut budget, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts
@@ -57,7 +80,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut accept = String::new();
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(&mut reader, &mut budget, &mut header)? == 0 {
             return Err(bad("connection closed mid-headers"));
         }
         let header = header.trim_end();
@@ -241,7 +264,124 @@ fn skip_headers(reader: &mut BufReader<TcpStream>) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io::Cursor;
     use std::net::TcpListener;
+
+    const VALID: &str =
+        "POST /runs HTTP/1.1\r\nHost: x\r\nAccept: Application/JSON\r\nContent-Length: 7\r\n\r\n{\"x\":1}";
+
+    /// Parse `bytes`, returning the outcome and how many bytes were read.
+    fn parse(bytes: Vec<u8>) -> (io::Result<Request>, usize) {
+        let mut cursor = Cursor::new(bytes);
+        let result = read_request(&mut cursor);
+        (result, cursor.position() as usize)
+    }
+
+    fn refused_as_too_large(result: io::Result<Request>) -> bool {
+        matches!(result, Err(e) if e.kind() == io::ErrorKind::InvalidData
+            && e.to_string().contains("too large"))
+    }
+
+    #[test]
+    fn request_parses_from_any_buffered_reader() {
+        let (req, read) = parse(VALID.as_bytes().to_vec());
+        let req = req.expect("valid request");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/runs"));
+        assert_eq!(
+            (req.accept.as_str(), req.body.as_str()),
+            ("application/json", "{\"x\":1}")
+        );
+        assert_eq!(read, VALID.len());
+    }
+
+    #[test]
+    fn an_unbounded_head_is_refused_after_max_head_bytes() {
+        // A request line that never ends.
+        let (result, read) = parse(vec![b'a'; 64 * MAX_HEAD]);
+        assert!(refused_as_too_large(result));
+        assert!(read <= MAX_HEAD, "read {read} bytes");
+        // Short header lines without end.
+        let mut flood = b"GET /metrics HTTP/1.1\r\n".to_vec();
+        for _ in 0..MAX_HEAD {
+            flood.extend_from_slice(b"X-Flood: 1\r\n");
+        }
+        flood.extend_from_slice(b"\r\n");
+        let (result, read) = parse(flood);
+        assert!(refused_as_too_large(result));
+        assert!(read <= MAX_HEAD, "read {read} bytes");
+        // A head just inside the limit still parses.
+        let pad = MAX_HEAD - "GET / HTTP/1.1\r\nX: \r\n\r\n".len();
+        let fits = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "p".repeat(pad));
+        assert!(parse(fits.into_bytes()).0.is_ok());
+    }
+
+    /// `VALID` mangled one of five ways: truncated, a byte flipped, lines
+    /// spliced, an oversized header, or a flood of headers. Returns the
+    /// bytes and whether the head is over [`MAX_HEAD`].
+    fn mangled_request(rng: &mut proptest::TestRng) -> (Vec<u8>, bool) {
+        let mut bytes = VALID.as_bytes().to_vec();
+        // Extra headers go right after the request line.
+        let after_line = VALID.find('\n').unwrap_or_default() + 1;
+        let head = VALID.len() - "{\"x\":1}".len();
+        let at = rng.below(bytes.len() as u64 + 1) as usize;
+        match rng.below(5) {
+            0 => bytes.truncate(at),
+            1 => {
+                let i = at.min(bytes.len() - 1);
+                bytes[i] ^= rng.below(255) as u8 + 1;
+            }
+            2 => {
+                bytes.retain(|&b| b != b'\n' || rng.below(2) == 0);
+            }
+            3 => {
+                let len = rng.below(2 * MAX_HEAD as u64) as usize;
+                let header = format!("X-Big: {}\r\n", "v".repeat(len));
+                let over = head + header.len() > MAX_HEAD;
+                bytes.splice(after_line..after_line, header.into_bytes());
+                return (bytes, over);
+            }
+            _ => {
+                let n = rng.below(4 * MAX_HEAD as u64 / 8) as usize;
+                let flood = "X-F: 1\r\n".repeat(n);
+                let over = head + flood.len() > MAX_HEAD;
+                bytes.splice(after_line..after_line, flood.into_bytes());
+                return (bytes, over);
+            }
+        }
+        (bytes, false)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Property: a truncated, byte-flipped, spliced, oversized or
+        /// header-flooded request never panics the parser, fails only
+        /// with a typed framing or end-of-stream error, never reads more
+        /// head than [`MAX_HEAD`] allows, and is refused whenever its head
+        /// is over the limit.
+        #[test]
+        fn mangled_requests_fail_typed(case in 0u32..u32::MAX) {
+            let mut rng = proptest::TestRng::for_case("http_fuzz", case);
+            let (bytes, over) = mangled_request(&mut rng);
+            let parsed = std::panic::catch_unwind(|| parse(bytes));
+            prop_assert!(parsed.is_ok(), "panicked");
+            let (result, read) = parsed.unwrap_or_else(|_| unreachable!());
+            if over {
+                prop_assert!(refused_as_too_large(result), "accepted an oversized head");
+                prop_assert!(read <= MAX_HEAD, "read {read} head bytes");
+                return Ok(());
+            }
+            prop_assert!(read <= MAX_HEAD + MAX_BODY);
+            match result {
+                Ok(req) => prop_assert!(req.body.len() <= MAX_BODY),
+                Err(e) => prop_assert!(
+                    matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+                    "untyped error {e:?}"
+                ),
+            }
+        }
+    }
 
     #[test]
     fn request_round_trip_over_loopback() {
@@ -249,7 +389,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accept");
-            let req = read_request(&mut conn).expect("parse");
+            let req = read_request(BufReader::new(&mut conn)).expect("parse");
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/runs");
             assert_eq!(req.body, "{\"x\":1}");
@@ -267,7 +407,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accept");
-            let _ = read_request(&mut conn).expect("parse");
+            let _ = read_request(BufReader::new(&mut conn)).expect("parse");
             start_stream(&mut conn).expect("headers");
             for i in 0..3 {
                 writeln!(conn, "{{\"row\":{i}}}").expect("row");
@@ -289,7 +429,7 @@ mod tests {
             write!(s, "BOGUS\r\n\r\n").expect("write");
         });
         let (mut conn, _) = listener.accept().expect("accept");
-        assert!(read_request(&mut conn).is_err());
+        assert!(read_request(BufReader::new(&mut conn)).is_err());
         client.join().expect("client thread");
     }
 }

@@ -33,7 +33,7 @@ pub mod jobs;
 pub mod store;
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -424,7 +424,7 @@ fn error_body(message: &str) -> String {
 }
 
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
-    let request = match http::read_request(&mut stream) {
+    let request = match http::read_request(BufReader::new(&mut stream)) {
         Ok(req) => req,
         Err(err) => {
             let _ = http::respond_json(&mut stream, 400, &error_body(&err.to_string()));

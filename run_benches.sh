@@ -1,16 +1,18 @@
 #!/bin/bash
-# Full paper-scale figure regeneration. Output tees to bench_output.txt.
+# Full paper-scale figure regeneration: every claim's grid at the paper
+# scale (CSVs in target-bench/experiments/), then the machine-readable
+# headline reports. Output tees to bench_output.txt.
 set -u
 root=$(cd "$(dirname "$0")" && pwd)
 export CARGO_TARGET_DIR="$root/target-bench"
 cd "$root"
 {
-  echo "== graphmem full benchmark run (GRAPHMEM_SCALE=paper default) =="
+  echo "== graphmem full benchmark run (graphmem claims --scale paper) =="
   date
-  cargo bench --workspace 2>&1
-  echo "== machine-readable headline reports -> bench_reports.jsonl =="
   cargo build --release --bin graphmem 2>&1
   GRAPHMEM="$CARGO_TARGET_DIR/release/graphmem"
+  "$GRAPHMEM" claims --scale paper 2>&1
+  echo "== machine-readable headline reports -> bench_reports.jsonl =="
   : > bench_reports.jsonl
   for policy in 4k thp selective:0.2; do
     "$GRAPHMEM" run --dataset kron --kernel bfs --policy "$policy" \

@@ -43,9 +43,9 @@ fn step(sys: &mut System, addr: VirtAddr, is_write: bool) {
     }
 }
 
-/// `GRAPHMEM_SCALE=tiny` equivalent: the graphmem-bench scale ladder maps
-/// "tiny" to four scale steps below the dataset preset.
-fn tiny_scale(ds: Dataset) -> u8 {
+/// Four scale steps below the dataset preset: the sizes the pinned
+/// oracle verdicts were recorded at.
+fn oracle_scale(ds: Dataset) -> u8 {
     ds.default_scale() - 4
 }
 
@@ -57,7 +57,7 @@ fn all_kernels_all_datasets_bit_identical() {
     for ds in Dataset::ALL {
         for kernel in Kernel::EXTENDED {
             let exp = Experiment::builder(ds, kernel)
-                .scale(tiny_scale(ds))
+                .scale(oracle_scale(ds))
                 .huge_order(4)
                 .policy(PagePolicy::ThpSystemWide)
                 .build()
@@ -74,7 +74,7 @@ fn all_kernels_all_datasets_bit_identical() {
 #[test]
 fn sampled_series_bit_identical() {
     let exp = Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
-        .scale(tiny_scale(Dataset::Wiki))
+        .scale(oracle_scale(Dataset::Wiki))
         .huge_order(4)
         .policy(PagePolicy::ThpSystemWide)
         .sample_interval(200_000)
@@ -95,7 +95,7 @@ fn sampled_series_bit_identical() {
 #[test]
 fn attribution_bit_identical_on_fast_path() {
     let exp = Experiment::builder(Dataset::Wiki, Kernel::Pagerank)
-        .scale(tiny_scale(Dataset::Wiki))
+        .scale(oracle_scale(Dataset::Wiki))
         .huge_order(4)
         .policy(PagePolicy::ThpSystemWide)
         .sample_interval(250_000)
@@ -119,7 +119,7 @@ fn attribution_bit_identical_on_fast_path() {
 /// part of `RunReport`, so pin them on a direct kernel run.
 #[test]
 fn per_array_profiles_bit_identical() {
-    let csr = Dataset::Wiki.generate_with_scale(tiny_scale(Dataset::Wiki));
+    let csr = Dataset::Wiki.generate_with_scale(oracle_scale(Dataset::Wiki));
     let mut sys = System::new(SystemSpec::scaled_demo());
     let mut arrays = GraphArrays::map(&mut sys, &csr, Kernel::Bfs);
     arrays.initialize(&mut sys, AllocOrder::Natural);

@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use graphmem_core::durable::frame_record;
-use graphmem_core::{read_manifest, run_supervised, Experiment, SupervisorConfig};
+use graphmem_core::{read_manifest, run_supervised, Experiment, GraphmemError, SupervisorConfig};
 use graphmem_graph::Dataset;
 use graphmem_server::http;
 use graphmem_server::store::ResultStore;
@@ -54,6 +54,42 @@ fn damage(bytes: &mut Vec<u8>, op: u64, at: u64, bit: u64) {
             }
         }
     }
+}
+
+/// Damage the line structure of a CRC-framed JSONL file at an interior
+/// line (any but the last): flip a byte inside it, splice it onto the
+/// next line, or change its CRC frame (a different hex digit, the
+/// separator dropped, the suffix shortened). Files of fewer than two
+/// lines are left alone.
+fn mangle_line(bytes: &mut Vec<u8>, op: u64, at: u64, x: u64) {
+    let mut lines: Vec<Vec<u8>> = bytes
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .map(<[u8]>::to_vec)
+        .collect();
+    if lines.len() < 2 {
+        return;
+    }
+    let i = (at % (lines.len() as u64 - 1)) as usize;
+    let line = &mut lines[i];
+    let len = line.len();
+    match op % 5 {
+        0 => line[(x % len as u64) as usize] ^= 1 + (x >> 8) as u8 % 255,
+        1 => {
+            let next = lines.remove(i + 1);
+            lines[i].extend(next);
+        }
+        2 if len > 9 => {
+            let pos = len - 1 - (x % 8) as usize;
+            let digit = (line[pos] as char).to_digit(16).unwrap_or(0);
+            let other = (digit + 1 + (x >> 3) as u32 % 15) % 16;
+            line[pos] = char::from_digit(other, 16).unwrap_or('0') as u8;
+        }
+        3 if len > 9 => drop(line.remove(len - 9)),
+        _ => line.truncate(len.saturating_sub(1 + (x % 7) as usize)),
+    }
+    *bytes = lines.join(&b'\n');
+    bytes.push(b'\n');
 }
 
 // ---------------------------------------------------------------------
@@ -124,6 +160,49 @@ proptest! {
             let sidecar = graphmem_server::store::quarantine_path(&shard);
             prop_assert!(sidecar.is_file(), "quarantine sidecar exists");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Interior-line damage — byte flips, spliced lines and changed CRC
+    /// frames, not only torn tails — leaves the store openable,
+    /// quarantines what it cannot verify, and never serves an altered
+    /// record.
+    #[test]
+    fn mangled_shard_lines_are_quarantined_never_served(
+        n in 2usize..6,
+        ops in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        let dir = tmp_path("shard_lines");
+        let originals = seed_shard(&dir, n);
+        let shard = dir.join("results-a.jsonl");
+        let mut bytes = fs::read(&shard).expect("read shard back");
+        for (op, at, x) in &ops {
+            mangle_line(&mut bytes, *op, *at, *x);
+        }
+        fs::write(&shard, &bytes).expect("write damaged shard");
+
+        let store = ResultStore::open(Some(dir.clone()), 4).expect("recovery never fails");
+        let mut served = 0;
+        for (hash, report) in &originals {
+            if let Some(got) = store.get(hash) {
+                prop_assert_eq!(got.as_ref(), report.as_str(), "altered record served");
+                served += 1;
+            }
+        }
+        // Every line the mangling touched is interior, so whatever is
+        // not served was quarantined, not silently dropped.
+        let counters = store.counters();
+        prop_assert!(
+            served == originals.len() || counters.quarantined > 0,
+            "{} of {} served, nothing quarantined", served, originals.len()
+        );
+        drop(store);
+        let again = ResultStore::open(Some(dir.clone()), 4).expect("second open");
+        prop_assert_eq!(again.counters().quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -199,6 +278,44 @@ proptest! {
             }
         }
         let _ = fs::remove_file(&path);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Interior-line damage to a manifest (the fixture's records twice
+    /// over, so three lines are interior) reads back byte-identical
+    /// reports or fails with a typed manifest or IO error — never a
+    /// panic, never an altered report.
+    #[test]
+    fn mangled_manifest_lines_read_exact_or_fail_typed(
+        ops in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        let (pristine, originals) = manifest_fixture();
+        let mut bytes = pristine.repeat(2);
+        for (op, at, x) in &ops {
+            mangle_line(&mut bytes, *op, *at, *x);
+        }
+        let path = tmp_path("manifest_lines.jsonl");
+        fs::write(&path, &bytes).expect("write damaged manifest");
+        let read = std::panic::catch_unwind(|| read_manifest(&path));
+        let _ = fs::remove_file(&path);
+        prop_assert!(read.is_ok(), "read_manifest panicked");
+        match read.unwrap_or_else(|_| unreachable!()) {
+            Ok(map) => {
+                for (hash, report) in map {
+                    prop_assert!(
+                        originals.get(&hash) == Some(&report.to_json()),
+                        "altered report read back for {}", hash
+                    );
+                }
+            }
+            Err(e) => prop_assert!(
+                matches!(e, GraphmemError::Manifest { .. } | GraphmemError::Io { .. }),
+                "untyped failure: {}", e
+            ),
+        }
     }
 }
 

@@ -1,320 +1,97 @@
 //! End-to-end integration tests spanning the whole stack:
 //! physmem → vm → os → graph → workloads → core.
 //!
-//! These encode the paper's *qualitative* claims as assertions, at small
-//! scales chosen so each test runs in seconds while still exercising the
-//! huge-page machinery (huge order 4 = 64 KiB pages with scale-15 graphs).
+//! Each test runs one claim of `graphmem_core::claims` at the `tiny`
+//! scale (scale-15 graphs on 64 KiB huge pages, so each grid runs in
+//! seconds while still exercising the huge-page machinery). The
+//! predicates, with their thresholds, live in the claims registry; the
+//! same claims regenerate the paper's figures through `graphmem claims`.
 
-use graphmem_core::{sweep, Experiment, MemoryCondition, PagePolicy, Preprocessing, Surplus};
-use graphmem_graph::Dataset;
-use graphmem_telemetry::{EventMask, TraceConfig, Tracer};
-use graphmem_workloads::{AllocOrder, Kernel};
+use graphmem_core::claims::{self, Scale, Status};
+use graphmem_core::SupervisorConfig;
 
-fn exp(dataset: Dataset, kernel: Kernel) -> Experiment {
-    Experiment::builder(dataset, kernel)
-        .scale(15)
-        .huge_order(4)
-        .build()
-        .expect("valid config")
+/// Run claim `id` at `tiny` and fail with its findings unless it holds.
+fn holds(id: &str) {
+    let claim = claims::find(id).expect("registered claim");
+    let outcome = claims::run(&[claim], Scale::Tiny, &SupervisorConfig::default())
+        .expect("supervision failed");
+    match &outcome.claims[0].status {
+        Status::Holds => {}
+        other => panic!("{id} ({}): {other:?}", claim.statement),
+    }
 }
 
-/// Paper §2.2 / Fig. 3: with 4 KiB pages the DTLB miss rate is high and
-/// most misses walk; system-wide THP cuts the miss rate by roughly half or
-/// more.
+/// Paper §2.2 / Fig. 3: high 4 KiB DTLB miss rates, cut by THP.
 #[test]
 fn tlb_miss_rates_match_paper_shape() {
-    let base = exp(Dataset::Kron25, Kernel::Bfs).run();
-    let thp = exp(Dataset::Kron25, Kernel::Bfs)
-        .policy(PagePolicy::ThpSystemWide)
-        .run();
-    assert!(base.verified && thp.verified);
-    assert!(
-        base.dtlb_miss_rate() > 0.10,
-        "baseline DTLB miss rate {:.3} too low to be in the paper's regime",
-        base.dtlb_miss_rate()
-    );
-    assert!(
-        thp.dtlb_miss_rate() < base.dtlb_miss_rate() * 0.7,
-        "THP should cut the DTLB miss rate substantially: {:.3} vs {:.3}",
-        thp.dtlb_miss_rate(),
-        base.dtlb_miss_rate()
-    );
-    assert!(thp.stlb_miss_rate() < base.stlb_miss_rate() * 0.3);
-    assert!(thp.speedup_over(&base) > 1.05);
+    holds("fig03");
 }
 
 /// Paper Fig. 5: huge pages on the property array capture most of the
-/// system-wide THP speedup; vertex-array-only THP captures little.
+/// system-wide THP speedup.
 #[test]
 fn property_array_is_where_huge_pages_matter() {
-    let base = exp(Dataset::Kron25, Kernel::Bfs).run();
-    let all = exp(Dataset::Kron25, Kernel::Bfs)
-        .policy(PagePolicy::ThpSystemWide)
-        .run();
-    let prop = exp(Dataset::Kron25, Kernel::Bfs)
-        .policy(PagePolicy::property_only())
-        .run();
-    let vertex = exp(Dataset::Kron25, Kernel::Bfs)
-        .policy(PagePolicy::PerArray {
-            vertex: true,
-            edge: false,
-            values: false,
-            property: false,
-        })
-        .run();
-    let gain = |r: &graphmem_core::RunReport| r.speedup_over(&base) - 1.0;
-    assert!(gain(&all) > 0.05, "system-wide gain {:.3}", gain(&all));
-    assert!(
-        gain(&prop) > 0.6 * gain(&all),
-        "property-only {:.3} should capture most of system-wide {:.3}",
-        gain(&prop),
-        gain(&all)
-    );
-    assert!(gain(&vertex) < 0.5 * gain(&prop));
-    // And it does so with a small fraction of the huge-page memory.
-    assert!(prop.huge_memory_fraction() < 0.5 * all.huge_memory_fraction());
+    holds("fig05");
 }
 
-/// Paper Fig. 7 / §4.3.1: under pressure, natural allocation order starves
-/// the property array of huge pages; property-first keeps them.
+/// Paper Fig. 7 / §4.3.1: under pressure, natural allocation order
+/// starves the property array of huge pages; property-first keeps them.
 #[test]
 fn allocation_order_decides_who_gets_huge_pages_under_pressure() {
-    // At this test scale (64 KiB huge pages) page-table/deposit metadata
-    // taxes ~12% of WSS, so the "moderate pressure" point sits higher
-    // than the bench-scale +12%.
-    let cond = MemoryCondition::pressured(Surplus::FractionOfWss(0.2));
-    let natural = exp(Dataset::Twitter, Kernel::Bfs)
-        .policy(PagePolicy::ThpSystemWide)
-        .condition(cond)
-        .run();
-    let optimized = exp(Dataset::Twitter, Kernel::Bfs)
-        .policy(PagePolicy::ThpSystemWide)
-        .condition(cond)
-        .alloc_order(AllocOrder::PropertyFirst)
-        .run();
-    assert!(natural.verified && optimized.verified);
-    assert!(
-        optimized.property_huge_fraction() > natural.property_huge_fraction() + 0.3,
-        "property-first {:.2} vs natural {:.2}",
-        optimized.property_huge_fraction(),
-        natural.property_huge_fraction()
-    );
-    assert!(optimized.compute_cycles <= natural.compute_cycles);
+    holds("fig07");
 }
 
-/// Paper Fig. 9: THP gains decline monotonically (within tolerance) as
-/// non-movable fragmentation rises, while the 4 KiB baseline is unaffected.
+/// Paper Fig. 9: THP coverage declines as non-movable fragmentation
+/// rises, while the 4 KiB baseline is unaffected.
 #[test]
 fn fragmentation_erodes_thp_but_not_baseline() {
-    let proto = exp(Dataset::Kron25, Kernel::Bfs).policy(PagePolicy::ThpSystemWide);
-    let rows = sweep::fragmentation(&proto, &[0.0, 0.5, 1.0]);
-    let huge: Vec<f64> = rows.iter().map(|(_, r)| r.huge_memory_fraction()).collect();
-    assert!(huge[0] > 0.9, "unfragmented coverage {:?}", huge);
-    assert!(huge[1] < huge[0] && huge[2] < huge[1] + 0.05, "{huge:?}");
-    assert!(huge[2] < 0.1, "full fragmentation coverage {:?}", huge);
-    let cycles: Vec<u64> = rows.iter().map(|(_, r)| r.compute_cycles).collect();
-    assert!(cycles[2] > cycles[0], "more fragmentation, more cycles");
-
-    // Baseline (nearly) unaffected by fragmentation. At this test scale
-    // the footprint is comparable to the (scaled) L3, so physical page
-    // placement shifts cache conflicts a little; at the paper-regime
-    // scales the footprint dwarfs the L3 and this effect disappears.
-    let base_frag = sweep::fragmentation(&proto.clone().policy(PagePolicy::BaseOnly), &[0.0, 0.75]);
-    let c0 = base_frag[0].1.compute_cycles as f64;
-    let c1 = base_frag[1].1.compute_cycles as f64;
-    assert!((c1 - c0).abs() / c0 < 0.2, "baseline moved {c0} -> {c1}");
+    holds("fig09");
 }
 
-/// Paper §4.3.1 "high memory pressure": oversubscription swaps and costs
-/// an order of magnitude for both page policies. PageRank re-touches
-/// every page each iteration, so the deficit thrashes hardest there
-/// (single-pass BFS merely degrades).
+/// Paper §4.3.1 "high memory pressure": oversubscription swaps and slows
+/// both page policies.
 #[test]
 fn oversubscription_thrashes_both_policies() {
-    for policy in [PagePolicy::BaseOnly, PagePolicy::ThpSystemWide] {
-        let free = exp(Dataset::Wiki, Kernel::Pagerank).policy(policy).run();
-        let over = exp(Dataset::Wiki, Kernel::Pagerank)
-            .policy(policy)
-            .condition(MemoryCondition::pressured(Surplus::FractionOfWss(-0.06)))
-            .run();
-        assert!(over.verified);
-        assert!(over.os.swap_ins > 0, "{policy:?} never swapped");
-        assert!(
-            over.compute_cycles > 4 * free.compute_cycles,
-            "{policy:?}: {} vs {}",
-            over.compute_cycles,
-            free.compute_cycles
-        );
-    }
-    // BFS is single-pass: oversubscription still swaps and slows it, if
-    // less dramatically.
-    let free = exp(Dataset::Wiki, Kernel::Bfs).run();
-    let over = exp(Dataset::Wiki, Kernel::Bfs)
-        .condition(MemoryCondition::pressured(Surplus::FractionOfWss(-0.06)))
-        .run();
-    assert!(over.os.swap_ins > 0);
-    assert!(over.compute_cycles > free.compute_cycles);
+    holds("fig07b");
 }
 
-/// Paper §5: DBG + selective THP at a small fraction recovers most of the
-/// constrained-THP gap using a sliver of huge-page memory.
+/// Paper §5: DBG + selective THP recovers most of the constrained-THP gap
+/// using a sliver of huge-page memory.
 #[test]
 fn selective_thp_with_dbg_is_memory_efficient() {
-    let cond = MemoryCondition::fragmented(0.5);
-    let base = exp(Dataset::Kron25, Kernel::Bfs).condition(cond).run();
-    // At this test scale the property array spans 4 huge pages, so 50%
-    // is the smallest selectivity that covers whole huge regions (the
-    // paper-scale benches use 20% of a much larger array).
-    let selective = exp(Dataset::Kron25, Kernel::Bfs)
-        .condition(cond)
-        .preprocessing(Preprocessing::Dbg)
-        .policy(PagePolicy::SelectiveProperty { fraction: 0.5 })
-        .run();
-    assert!(selective.verified);
-    assert!(
-        selective.speedup_over(&base) > 1.1,
-        "speedup {:.3}",
-        selective.speedup_over(&base)
-    );
-    // Half of a 4-huge-page property array out of a ~2.5 MiB footprint:
-    // a few percent (the paper-scale benches land at 0.6–3%).
-    assert!(
-        selective.huge_memory_fraction() < 0.15,
-        "memory fraction {:.4}",
-        selective.huge_memory_fraction()
-    );
-    assert!(selective.property_huge_bytes > 0);
+    holds("headline");
 }
 
 /// Fig. 11 contrast: on the ID-shuffled kron input, DBG makes low
 /// selectivity far more effective than the original order.
 #[test]
 fn dbg_concentrates_benefit_at_low_selectivity() {
-    let cond = MemoryCondition::fragmented(0.5);
-    let proto = exp(Dataset::Kron25, Kernel::Bfs).condition(cond);
-    let base = proto.clone().run();
-    let orig20 = proto
-        .clone()
-        .policy(PagePolicy::SelectiveProperty { fraction: 0.5 })
-        .run();
-    let dbg20 = proto
-        .clone()
-        .preprocessing(Preprocessing::Dbg)
-        .policy(PagePolicy::SelectiveProperty { fraction: 0.5 })
-        .run();
-    assert!(
-        dbg20.speedup_over(&base) > orig20.speedup_over(&base),
-        "dbg {:.3} vs orig {:.3}",
-        dbg20.speedup_over(&base),
-        orig20.speedup_over(&base)
-    );
+    holds("fig11");
 }
 
-/// All three kernels produce native-identical results under every policy
-/// and adversarial memory conditions (fragmentation + pressure + swap).
+/// All three kernels produce native-identical results under adversarial
+/// memory conditions (fragmentation + pressure + swap).
 #[test]
 fn correctness_under_adversarial_memory_conditions() {
-    let conditions = [
-        MemoryCondition::unbounded(),
-        MemoryCondition::fragmented(0.75),
-        MemoryCondition::pressured(Surplus::FractionOfWss(0.0)),
-    ];
-    for kernel in Kernel::ALL {
-        for cond in conditions {
-            let r = Experiment::builder(Dataset::Wiki, kernel)
-                .scale(13)
-                .huge_order(4)
-                .policy(PagePolicy::ThpSystemWide)
-                .preprocessing(Preprocessing::Dbg)
-                .condition(cond)
-                .build()
-                .expect("valid config")
-                .run();
-            assert!(r.verified, "{kernel} wrong under {cond:?}");
-        }
-    }
+    holds("verified");
 }
 
-/// Reordering ablation: DBG preserves the within-bin structure and gets
-/// the TLB benefit; a random order is strictly worse than DBG.
+/// Reordering ablation: a random order is strictly worse than DBG.
 #[test]
 fn reordering_ablation() {
-    let proto = exp(Dataset::Twitter, Kernel::Bfs).policy(PagePolicy::ThpSystemWide);
-    let dbg = proto.clone().preprocessing(Preprocessing::Dbg).run();
-    let random = proto.clone().preprocessing(Preprocessing::Random).run();
-    assert!(dbg.verified && random.verified);
-    assert!(
-        dbg.compute_cycles < random.compute_cycles,
-        "dbg {} vs random {}",
-        dbg.compute_cycles,
-        random.compute_cycles
-    );
+    holds("reorderings");
 }
 
 /// Telemetry is pure observation: tracing every event kind and sampling
-/// metrics every epoch must leave the simulation byte-identical — same
-/// cycles, same hardware counters, same kernel statistics.
+/// every epoch leaves the simulation byte-identical.
 #[test]
 fn telemetry_does_not_perturb_the_simulation() {
-    let cond = MemoryCondition::pressured(Surplus::FractionOfWss(0.2));
-    let proto = exp(Dataset::Wiki, Kernel::Bfs)
-        .policy(PagePolicy::ThpSystemWide)
-        .condition(cond);
-
-    let plain = proto.clone().run();
-    let tracer = Tracer::enabled(TraceConfig::default().mask(EventMask::ALL));
-    let traced = proto
-        .clone()
-        .telemetry(tracer.clone())
-        .sample_interval(50_000)
-        .run();
-
-    assert!(plain.verified && traced.verified);
-    assert_eq!(plain.preprocess_cycles, traced.preprocess_cycles);
-    assert_eq!(plain.init_cycles, traced.init_cycles);
-    assert_eq!(plain.compute_cycles, traced.compute_cycles);
-    assert_eq!(plain.perf, traced.perf, "hardware counters must not move");
-    assert_eq!(plain.os, traced.os, "kernel statistics must not move");
-    assert_eq!(plain.total_huge_bytes, traced.total_huge_bytes);
-    assert_eq!(plain.property_huge_bytes, traced.property_huge_bytes);
-
-    // The instrumented run actually observed something.
-    assert!(tracer.stats().emitted > 0, "no events were traced");
-    assert!(plain.series.is_none());
-    let series = traced.series.as_ref().expect("sampled series missing");
-    assert!(!series.is_empty());
-
-    // The series' final cumulative sample reconciles with the report's
-    // end-of-run aggregates.
-    let last = series.last().unwrap();
-    assert_eq!(last.faults, traced.os.faults);
-    assert_eq!(last.huge_faults, traced.os.huge_faults);
-    assert_eq!(last.promotions, traced.os.promotions);
-    assert_eq!(last.swap_ins, traced.os.swap_ins);
-    assert_eq!(last.kernel_cycles, traced.os.kernel_cycles);
+    holds("telemetry");
 }
 
-/// Extension (paper §2.3): explicit hugetlbfs reservation survives even
-/// total fragmentation — at the cost of planning and permanently pinned
-/// memory — while madvise-based THP collapses.
+/// Extension (paper §2.3): explicit hugetlbfs reservation survives total
+/// fragmentation while THP collapses.
 #[test]
 fn hugetlbfs_reservation_survives_total_fragmentation() {
-    let cond = MemoryCondition::fragmented(1.0);
-    let base = exp(Dataset::Kron25, Kernel::Bfs).condition(cond).run();
-    let thp = exp(Dataset::Kron25, Kernel::Bfs)
-        .condition(cond)
-        .policy(PagePolicy::ThpSystemWide)
-        .run();
-    let hugetlb = exp(Dataset::Kron25, Kernel::Bfs)
-        .condition(cond)
-        .policy(PagePolicy::HugetlbProperty)
-        .run();
-    assert!(base.verified && thp.verified && hugetlb.verified);
-    assert!(
-        hugetlb.property_huge_fraction() > 0.99,
-        "pool-backed property array must be fully huge: {:.2}",
-        hugetlb.property_huge_fraction()
-    );
-    assert!(thp.property_huge_fraction() < 0.2, "THP should be starved");
-    assert!(hugetlb.speedup_over(&base) > thp.speedup_over(&base) * 0.99);
+    holds("hugetlbfs");
 }
