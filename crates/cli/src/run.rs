@@ -328,7 +328,8 @@ fn claims_cmd(scale: Scale, selected: &[&'static Claim]) -> u8 {
         }
     }
     println!(
-        "scale {scale}: {} experiments in the grids, {} distinct configs run on {} workers in {:.1} s; wrote {written} CSVs to {}",
+        "scale {}: {} experiments in the grids, {} distinct configs run on {} workers in {:.1} s; wrote {written} CSVs to {}",
+        scale.token(),
         outcome.experiments,
         outcome.distinct,
         config.threads,

@@ -111,12 +111,6 @@ impl Scale {
     }
 }
 
-impl std::fmt::Display for Scale {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
 /// One CSV the reproduction writes: a name (the file stem), a header and
 /// rows of preformatted cells.
 #[derive(Debug, Clone, PartialEq, Eq)]

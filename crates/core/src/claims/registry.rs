@@ -645,10 +645,10 @@ fn fig07(ev: &Evidence<'_>) -> Findings {
     f
 }
 
-const OVERSUBSCRIBED: f64 = -0.06;
-
 fn fig07b_grid(scale: Scale) -> Vec<Experiment> {
-    let over = MemoryCondition::pressured(Surplus::FractionOfWss(OVERSUBSCRIBED));
+    // The ladder's first point is the oversubscribed one (-6% of WSS).
+    let oversubscribed = SweepKind::Pressure.params()[0];
+    let over = MemoryCondition::pressured(Surplus::FractionOfWss(oversubscribed));
     let mut grid = per_dataset(scale, &Dataset::ALL, |p| {
         let mut v = vec![p.clone().policy(PagePolicy::BaseOnly)];
         v.extend(SweepKind::Pressure.experiments(&p.policy(PagePolicy::ThpSystemWide)));
