@@ -22,6 +22,10 @@
 //! (`golden/graph_digests.txt`): a digest of the generator's CSR arrays
 //! for every dataset preset at two scales, two seeds, with and without
 //! weights. A faster generator must reproduce them exactly.
+//!
+//! So is the page table (`golden/pagetable_digests.txt`): the walk paths,
+//! call results and mapping counts a fixed script leaves, for three huge
+//! orders. A new page-table layout must reproduce every PTE location.
 
 use graphmem_core::{
     Experiment, GovernorConfig, MemoryCondition, PagePolicy, PageSizePlan, RunReport, RunSpec,
@@ -360,4 +364,161 @@ fn series_csv_bytes_match_fixtures() {
         .and_then(|a| a.memory)
         .expect("attributed run has a memory-state series");
     assert_eq!(memory.to_csv(), MEMSTATE_CSV);
+}
+
+/// Page-table state is pinned (`golden/pagetable_digests.txt`): for huge
+/// orders {4, 6, 9}, a fixed script of base and huge maps, failing
+/// calls, demote, remap, swap-out and swap-in, promote (whose table
+/// frames go back to the zone), a second demote, unmaps and a re-map
+/// runs on a fresh table. Each line records the table frames left, and
+/// digests of every call's result, of `walk_path` steps with the walk
+/// result over an address sweep, and of `count_mapped` per huge region
+/// plus the full `for_each_mapped` listing.
+#[test]
+fn pagetable_digests_match_fixture() {
+    let mut actual = String::new();
+    for order in [4u8, 6, 9] {
+        actual.push_str(&pagetable_script(order));
+    }
+    assert_fixture_section(PAGETABLES, "pagetable", &actual);
+}
+
+const PAGETABLES: &str = include_str!("golden/pagetable_digests.txt");
+
+fn pagetable_script(order: u8) -> String {
+    use graphmem_physmem::{MemConfig, Owner, Zone};
+    use graphmem_vm::{PageSize, PageTable, VirtAddr};
+    use std::fmt::Write as _;
+
+    let cfg = MemConfig::with_huge_order(order);
+    let (hb, hf) = (cfg.huge_bytes(), cfg.huge_frames());
+    let mut zone = Zone::new(0, (64 * hf).max(4096), cfg);
+    let mut pt = PageTable::new(0, cfg);
+    let mut ops = Fnv1a::default();
+    let huge = |i: u64| VirtAddr(i * hb);
+    let page = |base: VirtAddr, i: u64| base.add(i * 4096);
+    // Far-apart regions that hang off other upper-level tables.
+    let mid = VirtAddr(1 << 30);
+    let far = VirtAddr(1 << 39);
+    let kernel = |zone: &mut Zone| zone.alloc_frame(Owner::Kernel);
+
+    // Base pages: all of region 0, every third page of region 1, and a
+    // few pages far away.
+    let mut bases: Vec<VirtAddr> = (0..hf).map(|i| page(huge(0), i)).collect();
+    bases.extend((0..hf).step_by(3).map(|i| page(huge(1), i)));
+    bases.extend([mid, page(mid, 7), far, page(far, 5)]);
+    for va in bases {
+        let f = zone.alloc_frame(Owner::user()).expect("data frame");
+        let r = pt.map(va, PageSize::Base, f, 0, &mut || kernel(&mut zone));
+        write!(ops, "{r:?}").unwrap();
+    }
+    // Huge pages.
+    for va in [huge(2), huge(3), huge(6), far.add(4 * hb)] {
+        let r = zone
+            .alloc(cfg.huge_order, Owner::user())
+            .expect("huge block");
+        let res = pt.map(va, PageSize::Huge, r.base, 0, &mut || kernel(&mut zone));
+        write!(ops, "{res:?}").unwrap();
+    }
+    // Calls that must fail, and what a map would need.
+    write!(
+        ops,
+        "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
+        pt.map(huge(2), PageSize::Base, 1, 0, &mut || None),
+        pt.map(huge(0), PageSize::Huge, 1, 0, &mut || None),
+        pt.map(huge(2).add(4096), PageSize::Huge, 1, 0, &mut || None),
+        pt.unmap(page(huge(1), 1)),
+        pt.remap(huge(2), 1, 0),
+        pt.set_swapped(huge(3), 1),
+        pt.promote(huge(1), 1, 0),
+        pt.demote(huge(0), &mut || None),
+        pt.restore_swapped(huge(0), 1, 0),
+    )
+    .unwrap();
+    for (va, size) in [
+        (huge(5), PageSize::Huge),
+        (page(huge(5), 1), PageSize::Base),
+        (page(huge(1), 1), PageSize::Base),
+        (VirtAddr(1 << 35), PageSize::Base),
+        (VirtAddr(1 << 44), PageSize::Huge),
+    ] {
+        write!(ops, "{}", pt.tables_needed(va, size)).unwrap();
+    }
+    // Demote region 3, then migrate, swap out and swap in some of it.
+    let r = pt.demote(huge(3).add(5000), &mut || kernel(&mut zone));
+    write!(ops, "{r:?}").unwrap();
+    for i in [2, hf - 1] {
+        let f = zone.alloc_frame(Owner::user()).expect("data frame");
+        write!(ops, "{:?}", pt.remap(page(huge(3), i), f, 0)).unwrap();
+    }
+    write!(
+        ops,
+        "{:?}{:?}{:?}",
+        pt.set_swapped(page(huge(3), 1), 11),
+        pt.set_swapped(huge(1), 12),
+        pt.set_swapped(page(far, 5), 13),
+    )
+    .unwrap();
+    let f = zone.alloc_frame(Owner::user()).expect("data frame");
+    write!(ops, "{:?}", pt.restore_swapped(page(huge(3), 1), f, 0)).unwrap();
+    // Promote region 0; its leaf table's frames go back to the zone.
+    let r = zone
+        .alloc(cfg.huge_order, Owner::user())
+        .expect("huge block");
+    let (old, tables) = pt.promote(huge(0), r.base, 0).expect("region 0 is full");
+    write!(ops, "{old:?}{tables:?}").unwrap();
+    for l in old {
+        zone.free_frame(l.frame);
+    }
+    for t in tables {
+        zone.free_frame(t);
+    }
+    // A second demote, then unmaps and a huge re-map of a freed slot.
+    let r = pt.demote(huge(6), &mut || kernel(&mut zone));
+    write!(ops, "{r:?}").unwrap();
+    write!(
+        ops,
+        "{:?}{:?}{:?}{:?}",
+        pt.unmap(huge(2)),
+        pt.unmap(page(huge(6), 3)),
+        pt.unmap(mid),
+        pt.unmap(far.add(4 * hb).add(4096)),
+    )
+    .unwrap();
+    let r = zone
+        .alloc(cfg.huge_order, Owner::user())
+        .expect("huge block");
+    let res = pt.map(huge(2), PageSize::Huge, r.base, 0, &mut || {
+        kernel(&mut zone)
+    });
+    write!(ops, "{res:?}").unwrap();
+
+    // Sweep every page of regions 0..8 and of the far-away regions.
+    let mut walks = Fnv1a::default();
+    let sweep = (0..8 * hf)
+        .map(|i| page(huge(0), i))
+        .chain((0..2 * hf).map(|i| page(mid, i)))
+        .chain((0..6 * hf).map(|i| page(far, i)));
+    for va in sweep {
+        let (path, res) = pt.walk_path(va.add(123));
+        assert_eq!(pt.walk(va), res, "walk and walk_path disagree at {va:?}");
+        write!(walks, "{:?}{res:?}", &path[..]).unwrap();
+    }
+    let mut counts = Fnv1a::default();
+    for base in [huge(0), mid, far] {
+        for i in 0..8 {
+            let lo = base.add(i * hb);
+            write!(counts, "{:?}", pt.count_mapped(lo, lo.add(hb))).unwrap();
+        }
+    }
+    pt.for_each_mapped(VirtAddr(0), VirtAddr(1 << 47), &mut |va, l| {
+        write!(counts, "{va:?}{l:?}").unwrap();
+    });
+    format!(
+        "{order} {} {} {} {}\n",
+        pt.table_frames(),
+        ops.hex(),
+        walks.hex(),
+        counts.hex()
+    )
 }
