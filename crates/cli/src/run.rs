@@ -14,7 +14,7 @@ use graphmem_core::{
 use graphmem_graph::Dataset;
 use graphmem_server::{http, Server, ServerConfig};
 use graphmem_telemetry::json::{JsonObject, JsonValue};
-use graphmem_telemetry::{JsonlSink, TraceConfig, Tracer};
+use graphmem_telemetry::{Event, EventKind, EventMask, EventSink, JsonlSink, TraceConfig, Tracer};
 
 use crate::parse::{Command, RunArgs, SubmitArgs};
 use crate::USAGE;
@@ -276,14 +276,47 @@ fn experiments_dir(target_dir: Option<OsString>) -> PathBuf {
     Path::new(WORKSPACE_ROOT).join(target).join("experiments")
 }
 
+/// Prints `k/N configs` to stderr, overwriting one line, each time the
+/// supervisor finishes a config (completed or failed).
+struct Progress {
+    done: usize,
+    total: usize,
+}
+
+impl EventSink for Progress {
+    fn record(&mut self, event: &Event) {
+        if let EventKind::ExperimentComplete { .. } | EventKind::ExperimentFailure { .. } =
+            event.kind
+        {
+            self.done += 1;
+            eprint!("\r{}/{} configs", self.done, self.total);
+        }
+    }
+}
+
 fn claims_cmd(scale: Scale, selected: &[&'static Claim]) -> u8 {
+    let total = selected
+        .iter()
+        .flat_map(|c| (c.grid)(scale))
+        .map(|e| e.config_key())
+        .collect::<std::collections::HashSet<_>>()
+        .len();
+    let progress = TraceConfig::default()
+        .mask(EventMask::EXPERIMENT_COMPLETE | EventMask::EXPERIMENT_FAILURE)
+        .ring_capacity(0)
+        .sink(Box::new(Progress { done: 0, total }));
     let config = SupervisorConfig {
         threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         cancel: Some(sigint_flag()),
+        telemetry: Tracer::enabled(progress),
         ..SupervisorConfig::default()
     };
     let started = Instant::now();
-    let outcome = match claims::run(selected, scale, &config) {
+    let outcome = claims::run(selected, scale, &config);
+    if config.telemetry.stats().emitted > 0 {
+        eprintln!();
+    }
+    let outcome = match outcome {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");

@@ -11,6 +11,12 @@
 //! simulated OS passes a closure that takes kernel frames from the buddy
 //! allocator), so page tables themselves consume — and fragment — simulated
 //! physical memory, as they do on a real machine.
+//!
+//! Every table lives in one arena: its slots are a run of one `Vec` of
+//! `Copy` entries, a slot points at a child table by index, and a record
+//! per table names its run of slots and its run of backing frames. One
+//! descent (`PageTable::slot`) finds the slot an address resolves to;
+//! every lookup and mutator starts from the index it returns.
 
 use graphmem_physmem::{Frame, MemConfig, NodeId, FRAME_SIZE};
 
@@ -93,28 +99,45 @@ impl std::fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Entry {
     Empty,
-    Table(Box<Node>),
+    /// Index of a child table in [`PageTable::tables`].
+    Table(usize),
     Leaf(Leaf),
     /// Swapped-out base page (huge pages are demoted before swap-out).
     Swapped(u64),
 }
 
-#[derive(Debug)]
-struct Node {
-    /// Frames backing this table (kernel memory).
-    frames: Vec<Frame>,
-    entries: Vec<Entry>,
+/// One table level's index field of the VPN, and its tables' size.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    /// VPN bits below this level's index.
+    shift: u8,
+    /// Index bits: a table of this level has `1 << width` slots.
+    width: u8,
+    /// Frames backing one table of this level.
+    frames: u32,
 }
 
-impl Node {
-    fn pte_paddr_frame(&self, index: usize) -> (Frame, u64) {
-        let byte = index as u64 * PTE_BYTES;
-        let frame = self.frames[(byte / FRAME_SIZE) as usize];
-        (frame, byte % FRAME_SIZE)
+impl Level {
+    fn index(self, vpn: u64) -> usize {
+        ((vpn >> self.shift) & ((1 << self.width) - 1)) as usize
     }
+}
+
+/// Where one table's slots and backing frames sit in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Table {
+    /// First slot, in [`PageTable::slots`].
+    slots: usize,
+    /// First backing frame, in [`PageTable::frames`].
+    frames: usize,
+    /// Backing frames taken so far. A table is live — walkable — once it
+    /// holds all of its level's; until then (the root before the first
+    /// `map`, or a table whose backing ran out of memory) it reads as
+    /// unmapped and the next allocation resumes where it stopped.
+    held: u32,
 }
 
 /// A process page table.
@@ -122,15 +145,32 @@ impl Node {
 pub struct PageTable {
     node: NodeId,
     geom: PageGeometry,
-    /// Entry-index bit widths, root (level 0) to leaf (level 3).
-    widths: [u8; 4],
-    root: Node,
-    /// Total frames consumed by table pages.
+    /// Root (level 0) to leaf (level 3).
+    levels: [Level; 4],
+    /// Every table's slots, each table's in one run.
+    slots: Vec<Entry>,
+    /// Every table's record; the root is table 0.
+    tables: Vec<Table>,
+    /// Every table's backing frames, each table's in one run.
+    frames: Vec<Frame>,
+    /// Leaf tables that hold no slot of the tree (released by `promote`, or
+    /// left by a `demote` that ran out of memory), all slots `Empty`.
+    /// The next leaf table made is taken from here.
+    free: Vec<usize>,
+    /// Total frames held by table pages.
     table_frames: u64,
 }
 
 /// A table-page allocator: returns one kernel frame or `None` on OOM.
 pub type TableAlloc<'a> = dyn FnMut() -> Option<Frame> + 'a;
+
+/// Depth at which a leaf of `size` lives (entry level index).
+fn leaf_level(size: PageSize) -> usize {
+    match size {
+        PageSize::Base => 3,
+        PageSize::Huge => 2,
+    }
+}
 
 impl PageTable {
     /// Create an empty page table on NUMA `node`.
@@ -138,22 +178,32 @@ impl PageTable {
     /// The root table is lazily backed: its frames are taken from the first
     /// `map` call's allocator, so constructing a table never fails.
     pub fn new(node: NodeId, cfg: MemConfig) -> Self {
-        let geom = PageGeometry::new(cfg);
         let leaf_width = cfg.huge_order;
         let rem = VADDR_BITS - BASE_SHIFT - leaf_width;
         let w1 = rem / 3;
-        let w2 = rem / 3;
-        let w0 = rem - w1 - w2;
-        PageTable {
+        let w0 = rem - 2 * w1;
+        let level = |shift: u8, width: u8| Level {
+            shift,
+            width,
+            frames: ((PTE_BYTES << width).div_ceil(FRAME_SIZE)) as u32,
+        };
+        let mut pt = PageTable {
             node,
-            geom,
-            widths: [w0, w1, w2, leaf_width],
-            root: Node {
-                frames: Vec::new(),
-                entries: Vec::new(),
-            },
+            geom: PageGeometry::new(cfg),
+            levels: [
+                level(2 * w1 + leaf_width, w0),
+                level(w1 + leaf_width, w1),
+                level(leaf_width, w1),
+                level(0, leaf_width),
+            ],
+            slots: Vec::new(),
+            tables: Vec::new(),
+            frames: Vec::new(),
+            free: Vec::new(),
             table_frames: 0,
-        }
+        };
+        pt.new_table(0);
+        pt
     }
 
     /// NUMA node table pages are allocated on.
@@ -169,7 +219,7 @@ impl PageTable {
     /// Entry-index widths per level, root first. The x86-64 configuration
     /// yields `[9, 9, 9, 9]`.
     pub fn level_widths(&self) -> [u8; 4] {
-        self.widths
+        self.levels.map(|l| l.width)
     }
 
     /// Frames currently consumed by table pages.
@@ -177,53 +227,99 @@ impl PageTable {
         self.table_frames
     }
 
-    fn entries_at(&self, level: usize) -> usize {
-        1usize << self.widths[level]
+    /// Frames one leaf table occupies — the size of the pgtable *deposit*
+    /// the OS reserves at THP-fault time so a later split never allocates.
+    pub fn leaf_table_frames(&self) -> u64 {
+        u64::from(self.levels[3].frames)
     }
 
-    fn frames_for_level(&self, level: usize) -> u64 {
-        ((self.entries_at(level) as u64) * PTE_BYTES).div_ceil(FRAME_SIZE)
-    }
-
-    /// Bits of VPN covered below (not including) `level`'s index.
-    fn shift_below(&self, level: usize) -> u8 {
-        self.widths[level + 1..].iter().sum()
-    }
-
-    fn index(&self, vaddr: VirtAddr, level: usize) -> usize {
+    /// The descent. Walks from the root toward level `stop` through live
+    /// tables, calling `step(table, i)` for each slot it reads, topmost
+    /// first. Returns `Ok((level, slot))` for the slot it ends on — the
+    /// one at `stop`, or the first on the way that does not point at a
+    /// table — or `Err((level, table))` for the first table on the way
+    /// that is not live.
+    fn slot(
+        &self,
+        vaddr: VirtAddr,
+        stop: usize,
+        mut step: impl FnMut(Table, usize),
+    ) -> Result<(usize, usize), (usize, usize)> {
         let vpn = vaddr.vpn();
-        ((vpn >> self.shift_below(level)) & ((1u64 << self.widths[level]) - 1)) as usize
-    }
-
-    /// Depth at which a leaf of `size` lives (entry level index).
-    fn leaf_level(&self, size: PageSize) -> usize {
-        match size {
-            PageSize::Base => 3,
-            PageSize::Huge => 2,
-        }
-    }
-
-    fn ensure_backed(
-        node: &mut Node,
-        entries: usize,
-        frames_needed: u64,
-        alloc: &mut TableAlloc<'_>,
-        table_frames: &mut u64,
-    ) -> Result<(), MapError> {
-        if !node.entries.is_empty() {
-            return Ok(());
-        }
-        let mut frames = Vec::with_capacity(frames_needed as usize);
-        for _ in 0..frames_needed {
-            match alloc() {
-                Some(f) => frames.push(f),
-                None => return Err(MapError::OutOfTableMemory),
+        let (mut level, mut table) = (0, 0);
+        loop {
+            let t = self.tables[table];
+            let l = self.levels[level];
+            if t.held < l.frames {
+                return Err((level, table));
+            }
+            let i = l.index(vpn);
+            step(t, i);
+            match self.slots[t.slots + i] {
+                Entry::Table(child) if level < stop => (level, table) = (level + 1, child),
+                _ => return Ok((level, t.slots + i)),
             }
         }
-        *table_frames += frames_needed;
-        node.frames = frames;
-        node.entries = (0..entries).map(|_| Entry::Empty).collect();
+    }
+
+    /// The slot a full-depth descent for `vaddr` ends on, if every table on
+    /// the way is live.
+    fn find(&self, vaddr: VirtAddr) -> Option<usize> {
+        self.slot(vaddr, 3, |_, _| {}).ok().map(|(_, s)| s)
+    }
+
+    /// Add an empty, unbacked table of `level` to the arena (a leaf table
+    /// comes off the free list when one is there).
+    fn new_table(&mut self, level: usize) -> usize {
+        if level == 3 {
+            if let Some(t) = self.free.pop() {
+                return t;
+            }
+        }
+        let l = self.levels[level];
+        self.tables.push(Table {
+            slots: self.slots.len(),
+            frames: self.frames.len(),
+            held: 0,
+        });
+        self.slots
+            .resize(self.slots.len() + (1 << l.width), Entry::Empty);
+        self.frames.resize(self.frames.len() + l.frames as usize, 0);
+        self.tables.len() - 1
+    }
+
+    /// Take the frames `table` (of `level`) still lacks from `alloc`. Each
+    /// frame is held and counted the moment it is handed out, so a failure
+    /// part-way loses none.
+    fn back(
+        &mut self,
+        table: usize,
+        level: usize,
+        alloc: &mut TableAlloc<'_>,
+    ) -> Result<(), MapError> {
+        let t = &mut self.tables[table];
+        while t.held < self.levels[level].frames {
+            let frame = alloc().ok_or(MapError::OutOfTableMemory)?;
+            self.frames[t.frames + t.held as usize] = frame;
+            t.held += 1;
+            self.table_frames += 1;
+        }
         Ok(())
+    }
+
+    /// Where the PTE in slot `i` of `t` sits in physical memory.
+    fn pte(&self, t: Table, i: usize) -> (Frame, u64, NodeId) {
+        let byte = i as u64 * PTE_BYTES;
+        let frame = self.frames[t.frames + (byte / FRAME_SIZE) as usize];
+        (frame, byte % FRAME_SIZE, self.node)
+    }
+
+    fn result(&self, slot: usize) -> WalkResult {
+        match self.slots[slot] {
+            Entry::Leaf(l) => WalkResult::Mapped(l),
+            Entry::Swapped(s) => WalkResult::Swapped(s),
+            Entry::Empty | Entry::Table(_) => WalkResult::NotMapped,
+        }
     }
 
     /// Map `vaddr` (aligned to `size`) to the page starting at `frame` on
@@ -233,7 +329,11 @@ impl PageTable {
     ///
     /// * [`MapError::Misaligned`] — `vaddr` not aligned to the page size.
     /// * [`MapError::AlreadyMapped`] — a translation (or swap entry) exists.
-    /// * [`MapError::OutOfTableMemory`] — `alloc` failed.
+    /// * [`MapError::OutOfTableMemory`] — `alloc` failed. Every frame it
+    ///   handed out stays held (and counted in [`table_frames`]) by the
+    ///   table it was for, and a retry resumes from there.
+    ///
+    /// [`table_frames`]: PageTable::table_frames
     pub fn map(
         &mut self,
         vaddr: VirtAddr,
@@ -245,177 +345,59 @@ impl PageTable {
         if !vaddr.is_aligned(self.geom.bytes(size)) {
             return Err(MapError::Misaligned);
         }
-        let leaf_level = self.leaf_level(size);
-        let widths = self.widths;
-        let geom_entries: Vec<usize> = (0..4).map(|l| 1usize << widths[l]).collect();
-        let frames_per: Vec<u64> = (0..4).map(|l| self.frames_for_level(l)).collect();
-        let mut table_frames = self.table_frames;
-
-        // Manual descent to keep the borrow checker happy.
-        let mut level = 0usize;
-        let mut node = &mut self.root;
-        Self::ensure_backed(
-            node,
-            geom_entries[0],
-            frames_per[0],
-            alloc,
-            &mut table_frames,
-        )?;
-        let result = loop {
-            let idx = {
-                let vpn = vaddr.vpn();
-                let below: u8 = widths[level + 1..].iter().sum();
-                ((vpn >> below) & ((1u64 << widths[level]) - 1)) as usize
-            };
-            if level == leaf_level {
-                match node.entries[idx] {
-                    Entry::Empty => {
-                        node.entries[idx] = Entry::Leaf(Leaf {
+        let stop = leaf_level(size);
+        // Descend; back each unbacked table and make each missing one on
+        // the way, then descend again from the root.
+        loop {
+            match self.slot(vaddr, stop, |_, _| {}) {
+                Err((level, table)) => self.back(table, level, alloc)?,
+                Ok((level, slot)) => match self.slots[slot] {
+                    Entry::Empty if level == stop => {
+                        self.slots[slot] = Entry::Leaf(Leaf {
                             frame,
                             node: frame_node,
                             size,
                         });
-                        break Ok(());
+                        return Ok(());
                     }
-                    _ => break Err(MapError::AlreadyMapped),
-                }
-            }
-            match node.entries[idx] {
-                Entry::Empty => {
-                    node.entries[idx] = Entry::Table(Box::new(Node {
-                        frames: Vec::new(),
-                        entries: Vec::new(),
-                    }));
-                }
-                Entry::Table(_) => {}
-                _ => break Err(MapError::AlreadyMapped),
-            }
-            let Entry::Table(child) = &mut node.entries[idx] else {
-                unreachable!()
-            };
-            level += 1;
-            Self::ensure_backed(
-                child,
-                geom_entries[level],
-                frames_per[level],
-                alloc,
-                &mut table_frames,
-            )?;
-            node = child;
-        };
-        self.table_frames = table_frames;
-        result
-    }
-
-    fn entry_for(&self, vaddr: VirtAddr) -> Option<(&Entry, usize)> {
-        let mut node = &self.root;
-        if node.entries.is_empty() {
-            return None;
-        }
-        for level in 0..4 {
-            let idx = self.index(vaddr, level);
-            match &node.entries[idx] {
-                Entry::Table(child) => {
-                    if child.entries.is_empty() {
-                        return None;
-                    }
-                    node = child;
-                }
-                e => return Some((e, level)),
+                    Entry::Empty => self.slots[slot] = Entry::Table(self.new_table(level + 1)),
+                    _ => return Err(MapError::AlreadyMapped),
+                },
             }
         }
-        None
-    }
-
-    fn entry_for_mut(&mut self, vaddr: VirtAddr) -> Option<(&mut Entry, usize)> {
-        let widths = self.widths;
-        let vpn = vaddr.vpn();
-        let mut node = &mut self.root;
-        if node.entries.is_empty() {
-            return None;
-        }
-        for level in 0..4 {
-            let below: u8 = widths[level + 1..].iter().sum();
-            let idx = ((vpn >> below) & ((1u64 << widths[level]) - 1)) as usize;
-            // Split borrow via match on indexing each iteration.
-            if matches!(node.entries[idx], Entry::Table(_)) {
-                let Entry::Table(child) = &mut node.entries[idx] else {
-                    unreachable!()
-                };
-                if child.entries.is_empty() {
-                    return None;
-                }
-                node = child;
-            } else {
-                return Some((&mut node.entries[idx], level));
-            }
-        }
-        None
-    }
-
-    /// Frames one leaf table occupies — the size of the pgtable *deposit*
-    /// the OS reserves at THP-fault time so a later split never allocates.
-    pub fn leaf_table_frames(&self) -> u64 {
-        self.frames_for_level(3)
     }
 
     /// How many table frames a `map(vaddr, size, ..)` would need to
     /// allocate right now (0 if all intermediate tables already exist).
     /// Lets the OS pre-flight memory before mapping.
     pub fn tables_needed(&self, vaddr: VirtAddr, size: PageSize) -> u64 {
-        let leaf_level = self.leaf_level(size);
-        let all_from =
-            |level: usize| -> u64 { (level..=leaf_level).map(|l| self.frames_for_level(l)).sum() };
-        let mut node = &self.root;
-        for level in 0..=leaf_level {
-            if node.entries.is_empty() {
-                return all_from(level);
+        let stop = leaf_level(size);
+        let from = |level: usize| -> u64 {
+            self.levels[level..=stop]
+                .iter()
+                .map(|l| u64::from(l.frames))
+                .sum()
+        };
+        let held = |table: usize| u64::from(self.tables[table].held);
+        match self.slot(vaddr, stop, |_, _| {}) {
+            Err((level, table)) => from(level) - held(table),
+            Ok((level, slot)) if level < stop && self.slots[slot] == Entry::Empty => {
+                // A new leaf table comes off the free list, frames and all.
+                let spare = match level + 1 {
+                    3 => self.free.last().map_or(0, |&t| held(t)),
+                    _ => 0,
+                };
+                from(level + 1) - spare
             }
-            if level == leaf_level {
-                return 0;
-            }
-            let idx = self.index(vaddr, level);
-            match &node.entries[idx] {
-                Entry::Table(child) => node = child,
-                Entry::Empty => return all_from(level + 1),
-                _ => return 0, // map will fail with AlreadyMapped anyway
-            }
+            // Present already, or map will fail with AlreadyMapped.
+            Ok(_) => 0,
         }
-        0
-    }
-
-    /// The level-2 ("leaf directory") entry covering `vaddr`, i.e. the slot
-    /// where a huge leaf or the pointer to a leaf table lives.
-    fn dir_entry_mut(&mut self, vaddr: VirtAddr) -> Option<&mut Entry> {
-        let widths = self.widths;
-        let vpn = vaddr.vpn();
-        let mut node = &mut self.root;
-        for level in 0..2 {
-            if node.entries.is_empty() {
-                return None;
-            }
-            let below: u8 = widths[level + 1..].iter().sum();
-            let idx = ((vpn >> below) & ((1u64 << widths[level]) - 1)) as usize;
-            match &mut node.entries[idx] {
-                Entry::Table(child) => node = child,
-                _ => return None,
-            }
-        }
-        if node.entries.is_empty() {
-            return None;
-        }
-        let below: u8 = widths[3];
-        let idx = ((vpn >> below) & ((1u64 << widths[2]) - 1)) as usize;
-        Some(&mut node.entries[idx])
     }
 
     /// Software walk: what does `vaddr` translate to?
     pub fn walk(&self, vaddr: VirtAddr) -> WalkResult {
-        match self.entry_for(vaddr) {
-            Some((Entry::Leaf(l), _)) => WalkResult::Mapped(*l),
-            Some((Entry::Swapped(slot), _)) => WalkResult::Swapped(*slot),
-            _ => WalkResult::NotMapped,
-        }
+        self.find(vaddr)
+            .map_or(WalkResult::NotMapped, |s| self.result(s))
     }
 
     /// Hardware-walk path: the physical locations (frame, offset-in-frame)
@@ -424,27 +406,9 @@ impl PageTable {
     /// through the cache hierarchy.
     pub fn walk_path(&self, vaddr: VirtAddr) -> (WalkPath, WalkResult) {
         let mut path = WalkPath::default();
-        let mut node = &self.root;
-        if node.entries.is_empty() {
-            return (path, WalkResult::NotMapped);
-        }
-        for level in 0..4 {
-            let idx = self.index(vaddr, level);
-            let (f, off) = node.pte_paddr_frame(idx);
-            path.push((f, off, self.node));
-            match &node.entries[idx] {
-                Entry::Table(child) => {
-                    if child.entries.is_empty() {
-                        return (path, WalkResult::NotMapped);
-                    }
-                    node = child;
-                }
-                Entry::Leaf(l) => return (path, WalkResult::Mapped(*l)),
-                Entry::Swapped(slot) => return (path, WalkResult::Swapped(*slot)),
-                Entry::Empty => return (path, WalkResult::NotMapped),
-            }
-        }
-        (path, WalkResult::NotMapped)
+        let end = self.slot(vaddr, 3, |t, i| path.push(self.pte(t, i)));
+        let result = end.map_or(WalkResult::NotMapped, |(_, s)| self.result(s));
+        (path, result)
     }
 
     /// Remove the translation for `vaddr`, returning its leaf.
@@ -453,13 +417,18 @@ impl PageTable {
     ///
     /// [`MapError::NotMapped`] if no present translation exists.
     pub fn unmap(&mut self, vaddr: VirtAddr) -> Result<Leaf, MapError> {
-        match self.entry_for_mut(vaddr) {
-            Some((e @ Entry::Leaf(_), _)) => {
-                let Entry::Leaf(leaf) = std::mem::replace(e, Entry::Empty) else {
-                    unreachable!()
-                };
-                Ok(leaf)
-            }
+        let slot = self.find(vaddr).ok_or(MapError::NotMapped)?;
+        let Entry::Leaf(leaf) = self.slots[slot] else {
+            return Err(MapError::NotMapped);
+        };
+        self.slots[slot] = Entry::Empty;
+        Ok(leaf)
+    }
+
+    /// The slot holding the present **base** translation of `vaddr`.
+    fn base_leaf(&self, vaddr: VirtAddr) -> Result<(usize, Leaf), MapError> {
+        match self.find(vaddr).map(|s| (s, self.slots[s])) {
+            Some((s, Entry::Leaf(leaf))) if leaf.size == PageSize::Base => Ok((s, leaf)),
             _ => Err(MapError::NotMapped),
         }
     }
@@ -476,15 +445,13 @@ impl PageTable {
         new_frame: Frame,
         frame_node: NodeId,
     ) -> Result<Leaf, MapError> {
-        match self.entry_for_mut(vaddr) {
-            Some((Entry::Leaf(leaf), _)) if leaf.size == PageSize::Base => {
-                let old = *leaf;
-                leaf.frame = new_frame;
-                leaf.node = frame_node;
-                Ok(old)
-            }
-            _ => Err(MapError::NotMapped),
-        }
+        let (slot, old) = self.base_leaf(vaddr)?;
+        self.slots[slot] = Entry::Leaf(Leaf {
+            frame: new_frame,
+            node: frame_node,
+            ..old
+        });
+        Ok(old)
     }
 
     /// Replace a present **base** translation with a swap marker.
@@ -494,19 +461,9 @@ impl PageTable {
     /// [`MapError::NotMapped`] if the address is not mapped by a base page
     /// (huge pages must be demoted before swap-out).
     pub fn set_swapped(&mut self, vaddr: VirtAddr, slot: u64) -> Result<Leaf, MapError> {
-        match self.entry_for_mut(vaddr) {
-            Some((e @ Entry::Leaf(_), _)) => {
-                let Entry::Leaf(leaf) = *e else {
-                    unreachable!()
-                };
-                if leaf.size != PageSize::Base {
-                    return Err(MapError::NotMapped);
-                }
-                *e = Entry::Swapped(slot);
-                Ok(leaf)
-            }
-            _ => Err(MapError::NotMapped),
-        }
+        let (s, leaf) = self.base_leaf(vaddr)?;
+        self.slots[s] = Entry::Swapped(slot);
+        Ok(leaf)
     }
 
     /// Replace a swap marker with a present base translation (swap-in).
@@ -520,9 +477,9 @@ impl PageTable {
         frame: Frame,
         frame_node: NodeId,
     ) -> Result<(), MapError> {
-        match self.entry_for_mut(vaddr) {
-            Some((e @ Entry::Swapped(_), _)) => {
-                *e = Entry::Leaf(Leaf {
+        match self.find(vaddr) {
+            Some(s) if matches!(self.slots[s], Entry::Swapped(_)) => {
+                self.slots[s] = Entry::Leaf(Leaf {
                     frame,
                     node: frame_node,
                     size: PageSize::Base,
@@ -533,60 +490,49 @@ impl PageTable {
         }
     }
 
+    /// The level-2 ("leaf directory") slot covering `vaddr`, i.e. the slot
+    /// where a huge leaf or the pointer to a leaf table lives.
+    fn dir_slot(&self, vaddr: VirtAddr) -> Result<usize, MapError> {
+        let huge = vaddr.align_down(self.geom.bytes(PageSize::Huge));
+        match self.slot(huge, 2, |_, _| {}) {
+            Ok((2, s)) => Ok(s),
+            _ => Err(MapError::NotMapped),
+        }
+    }
+
     /// Demote the huge mapping covering `vaddr` into base mappings of its
     /// constituent frames. The new leaf table's pages come from `alloc`.
     ///
     /// # Errors
     ///
     /// * [`MapError::NotMapped`] — no huge mapping covers `vaddr`.
-    /// * [`MapError::OutOfTableMemory`] — `alloc` failed.
+    /// * [`MapError::OutOfTableMemory`] — `alloc` failed; the frames it
+    ///   did hand out stay held by a spare leaf table the next one reuses.
     pub fn demote(
         &mut self,
         vaddr: VirtAddr,
         alloc: &mut TableAlloc<'_>,
     ) -> Result<Leaf, MapError> {
-        let huge_bytes = self.geom.bytes(PageSize::Huge);
-        let base = vaddr.align_down(huge_bytes);
-        let leaf_entries = self.entries_at(3);
-        let frames_needed = self.frames_for_level(3);
-        let mut table_frames = self.table_frames;
-
-        let entry = match self.entry_for_mut(base) {
-            Some((e, 2))
-                if matches!(
-                    e,
-                    Entry::Leaf(Leaf {
-                        size: PageSize::Huge,
-                        ..
-                    })
-                ) =>
-            {
-                e
-            }
+        let dir = self.dir_slot(vaddr)?;
+        let old = match self.slots[dir] {
+            Entry::Leaf(l) if l.size == PageSize::Huge => l,
             _ => return Err(MapError::NotMapped),
         };
-        let Entry::Leaf(old) = *entry else {
-            unreachable!()
-        };
-        let mut frames = Vec::with_capacity(frames_needed as usize);
-        for _ in 0..frames_needed {
-            match alloc() {
-                Some(f) => frames.push(f),
-                None => return Err(MapError::OutOfTableMemory),
-            }
+        let table = self.new_table(3);
+        if let Err(e) = self.back(table, 3, alloc) {
+            self.free.push(table);
+            return Err(e);
         }
-        table_frames += frames_needed;
-        let entries = (0..leaf_entries)
-            .map(|i| {
-                Entry::Leaf(Leaf {
-                    frame: old.frame + i as u64,
-                    node: old.node,
-                    size: PageSize::Base,
-                })
-            })
-            .collect();
-        *entry = Entry::Table(Box::new(Node { frames, entries }));
-        self.table_frames = table_frames;
+        let first = self.tables[table].slots;
+        let leaves = &mut self.slots[first..first + (1 << self.levels[3].width)];
+        for (frame, slot) in (old.frame..).zip(leaves) {
+            *slot = Entry::Leaf(Leaf {
+                frame,
+                size: PageSize::Base,
+                ..old
+            });
+        }
+        self.slots[dir] = Entry::Table(table);
         Ok(old)
     }
 
@@ -606,68 +552,72 @@ impl PageTable {
         new_frame: Frame,
         frame_node: NodeId,
     ) -> Result<(Vec<Leaf>, Vec<Frame>), MapError> {
-        let huge_bytes = self.geom.bytes(PageSize::Huge);
-        let base = vaddr.align_down(huge_bytes);
-        let entry = match self.dir_entry_mut(base) {
-            Some(e @ Entry::Table(_)) => e,
-            _ => return Err(MapError::NotMapped),
+        let dir = self.dir_slot(vaddr)?;
+        let Entry::Table(table) = self.slots[dir] else {
+            return Err(MapError::NotMapped);
         };
-        let Entry::Table(node) = entry else {
-            unreachable!()
-        };
-        let mut old = Vec::with_capacity(node.entries.len());
-        for e in &node.entries {
-            match e {
-                Entry::Leaf(l) if l.size == PageSize::Base => old.push(*l),
-                _ => return Err(MapError::NotMapped),
-            }
+        let t = self.tables[table];
+        let l = self.levels[3];
+        if t.held < l.frames {
+            return Err(MapError::NotMapped);
         }
-        let Entry::Table(node) = std::mem::replace(
-            entry,
-            Entry::Leaf(Leaf {
-                frame: new_frame,
-                node: frame_node,
-                size: PageSize::Huge,
-            }),
-        ) else {
-            unreachable!()
-        };
-        self.table_frames -= node.frames.len() as u64;
-        Ok((old, node.frames))
+        let leaves = &mut self.slots[t.slots..t.slots + (1 << l.width)];
+        let old = leaves
+            .iter()
+            .map(|e| match *e {
+                Entry::Leaf(leaf) if leaf.size == PageSize::Base => Some(leaf),
+                _ => None,
+            })
+            .collect::<Option<Vec<Leaf>>>()
+            .ok_or(MapError::NotMapped)?;
+        leaves.fill(Entry::Empty);
+        let frames = self.frames[t.frames..t.frames + l.frames as usize].to_vec();
+        self.tables[table].held = 0;
+        self.table_frames -= u64::from(l.frames);
+        self.free.push(table);
+        self.slots[dir] = Entry::Leaf(Leaf {
+            frame: new_frame,
+            node: frame_node,
+            size: PageSize::Huge,
+        });
+        Ok((old, frames))
     }
 
-    /// Visit every present mapping in `[start, end)` as `(vaddr, leaf)`.
+    /// Visit every present mapping in `[start, end)` as `(vaddr, leaf)`,
+    /// in ascending address order.
     pub fn for_each_mapped(
         &self,
         start: VirtAddr,
         end: VirtAddr,
         f: &mut dyn FnMut(VirtAddr, Leaf),
     ) {
-        self.visit(&self.root, 0, 0, start.0, end.0, f);
+        self.visit(0, 0, 0, start.0, end.0, f);
     }
 
+    /// Visit the slots of `table` (of `level`, covering addresses from
+    /// `prefix`) that overlap `[start, end)`: only the run from the first
+    /// overlapping index to the last is read.
     fn visit(
         &self,
-        node: &Node,
+        table: usize,
         level: usize,
         prefix: u64,
         start: u64,
         end: u64,
         f: &mut dyn FnMut(VirtAddr, Leaf),
     ) {
-        if node.entries.is_empty() {
+        let (t, l) = (self.tables[table], self.levels[level]);
+        if t.held < l.frames || end <= prefix {
             return;
         }
-        let below_bits = self.shift_below(level) + BASE_SHIFT;
-        for (idx, e) in node.entries.iter().enumerate() {
-            let lo = prefix | ((idx as u64) << below_bits);
-            let hi = lo + (1u64 << below_bits);
-            if hi <= start || lo >= end {
-                continue;
-            }
-            match e {
+        let bits = l.shift + BASE_SHIFT;
+        let first = (start.saturating_sub(prefix) >> bits) as usize;
+        let last = ((end - 1 - prefix) >> bits).min((1 << l.width) - 1) as usize;
+        for i in first..=last {
+            let lo = prefix | ((i as u64) << bits);
+            match self.slots[t.slots + i] {
                 Entry::Empty | Entry::Swapped(_) => {}
-                Entry::Leaf(l) => f(VirtAddr(lo), *l),
+                Entry::Leaf(leaf) => f(VirtAddr(lo), leaf),
                 Entry::Table(child) => self.visit(child, level + 1, lo, start, end, f),
             }
         }
@@ -796,6 +746,83 @@ mod tests {
             pt.map(VirtAddr(0), PageSize::Base, 1, 0, &mut alloc),
             Err(MapError::OutOfTableMemory)
         );
+    }
+
+    /// An allocator that hands out `k` frames, then fails, fails a map or
+    /// demote part-way; every frame it handed out stays counted, and a
+    /// retry with a working allocator completes the same call.
+    #[test]
+    fn failed_allocations_keep_every_frame_counted() {
+        for order in [2, 9, 10] {
+            let cfg = MemConfig::with_huge_order(order);
+            let fresh = PageTable::new(0, cfg);
+            let need = fresh.tables_needed(VirtAddr(0), PageSize::Base);
+            for k in 0..need {
+                let (mut zone, mut pt) = setup(order);
+                let mut handed = 0;
+                let mut failing = || {
+                    (handed < k).then(|| {
+                        handed += 1;
+                        zone.alloc_frame(Owner::Kernel).expect("zone has room")
+                    })
+                };
+                let err = pt.map(VirtAddr(0), PageSize::Base, 1, 0, &mut failing);
+                assert_eq!(err, Err(MapError::OutOfTableMemory));
+                assert_eq!(pt.table_frames(), k, "order {order}, fail on call {k}");
+                assert_eq!(pt.walk(VirtAddr(0)), WalkResult::NotMapped);
+                assert_eq!(pt.tables_needed(VirtAddr(0), PageSize::Base), need - k);
+                let free = zone.free_frames();
+                pt.map(VirtAddr(0), PageSize::Base, 1, 0, &mut kalloc(&mut zone))
+                    .unwrap();
+                assert_eq!(pt.table_frames(), need);
+                assert_eq!(free - zone.free_frames(), need - k);
+            }
+
+            // A demote that fails part-way leaves its frames on a spare
+            // leaf table, which the retry finishes backing.
+            let leaf = fresh.leaf_table_frames();
+            for k in 0..leaf {
+                let (mut zone, mut pt) = setup(order);
+                let hv = VirtAddr(cfg.huge_bytes());
+                pt.map(hv, PageSize::Huge, 0, 0, &mut kalloc(&mut zone))
+                    .unwrap();
+                let before = pt.table_frames();
+                let mut handed = 0;
+                let mut failing = || {
+                    (handed < k).then(|| {
+                        handed += 1;
+                        zone.alloc_frame(Owner::Kernel).expect("zone has room")
+                    })
+                };
+                assert_eq!(pt.demote(hv, &mut failing), Err(MapError::OutOfTableMemory));
+                assert_eq!(pt.table_frames(), before + k);
+                assert_eq!(pt.tables_needed(hv.add(4096), PageSize::Base), 0);
+                pt.demote(hv, &mut kalloc(&mut zone)).unwrap();
+                assert_eq!(pt.table_frames(), before + leaf);
+            }
+        }
+    }
+
+    /// A leaf table `promote` releases is the one the next `demote` fills:
+    /// the arena does not grow.
+    #[test]
+    fn demote_reuses_the_leaf_table_promote_released() {
+        let (mut zone, mut pt) = setup(4);
+        let cfg = zone.config();
+        let hv = VirtAddr(cfg.huge_bytes());
+        pt.map(hv, PageSize::Huge, 0, 0, &mut kalloc(&mut zone))
+            .unwrap();
+        pt.demote(hv, &mut kalloc(&mut zone)).unwrap();
+        let (tables, slots) = (pt.tables.len(), pt.slots.len());
+        for _ in 0..3 {
+            let (_, frames) = pt.promote(hv, 0, 0).unwrap();
+            assert_eq!(pt.free.len(), 1);
+            frames.into_iter().for_each(|f| zone.free_frame(f));
+            pt.demote(hv, &mut kalloc(&mut zone)).unwrap();
+            assert!(pt.free.is_empty());
+        }
+        assert_eq!((pt.tables.len(), pt.slots.len()), (tables, slots));
+        assert_eq!(pt.count_mapped(hv, hv.add(cfg.huge_bytes())), (16, 0));
     }
 
     #[test]
