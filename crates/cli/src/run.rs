@@ -14,7 +14,7 @@ use graphmem_core::{
 use graphmem_graph::Dataset;
 use graphmem_server::{http, Server, ServerConfig};
 use graphmem_telemetry::json::{JsonObject, JsonValue};
-use graphmem_telemetry::{Event, EventKind, EventMask, EventSink, JsonlSink, TraceConfig, Tracer};
+use graphmem_telemetry::{Event, EventMask, EventSink, JsonlSink, TraceConfig, Tracer};
 
 use crate::parse::{Command, RunArgs, SubmitArgs};
 use crate::USAGE;
@@ -276,21 +276,18 @@ fn experiments_dir(target_dir: Option<OsString>) -> PathBuf {
     Path::new(WORKSPACE_ROOT).join(target).join("experiments")
 }
 
-/// Prints `k/N configs` to stderr, overwriting one line, each time the
-/// supervisor finishes a config (completed or failed).
+/// Prints `k/N configs` to stderr, overwriting one line, for each event
+/// it records: under `claims_cmd`'s mask, each config the supervisor
+/// finishes (completed or failed).
 struct Progress {
     done: usize,
     total: usize,
 }
 
 impl EventSink for Progress {
-    fn record(&mut self, event: &Event) {
-        if let EventKind::ExperimentComplete { .. } | EventKind::ExperimentFailure { .. } =
-            event.kind
-        {
-            self.done += 1;
-            eprint!("\r{}/{} configs", self.done, self.total);
-        }
+    fn record(&mut self, _: &Event) {
+        self.done += 1;
+        eprint!("\r{}/{} configs", self.done, self.total);
     }
 }
 

@@ -314,6 +314,7 @@ impl PageTable {
         (frame, byte % FRAME_SIZE, self.node)
     }
 
+    /// What a walk that ends on `slot` translates to.
     fn result(&self, slot: usize) -> WalkResult {
         match self.slots[slot] {
             Entry::Leaf(l) => WalkResult::Mapped(l),
