@@ -116,20 +116,37 @@ fn attribution_bit_identical_on_fast_path() {
 }
 
 /// Per-array profiles (reads/writes/seq-breaks/page histograms) are not
-/// part of `RunReport`, so pin them on a direct kernel run.
+/// part of `RunReport`, so pin them on direct kernel runs: BFS, and
+/// PageRank, whose scatter-add and convergence sweep run through the
+/// gather-RMW and scalar paths of every property array.
 #[test]
 fn per_array_profiles_bit_identical() {
     let csr = Dataset::Wiki.generate_with_scale(oracle_scale(Dataset::Wiki));
-    let mut sys = System::new(SystemSpec::scaled_demo());
-    let mut arrays = GraphArrays::map(&mut sys, &csr, Kernel::Bfs);
-    arrays.initialize(&mut sys, AllocOrder::Natural);
-    arrays.prop[0].profile_pages(1 << 16);
     let root = graphmem_workloads::default_root(&csr);
-    Kernel::Bfs.run_simulated(&mut sys, &mut arrays, root);
-    let profiles: Vec<_> = arrays.profile().arrays().to_vec();
+    let run = |kernel: Kernel| {
+        let mut sys = System::new(SystemSpec::scaled_demo());
+        let mut arrays = GraphArrays::map(&mut sys, &csr, kernel);
+        arrays.initialize(&mut sys, AllocOrder::Natural);
+        for p in &arrays.prop {
+            p.profile_pages(1 << 16);
+        }
+        kernel.run_simulated(&mut sys, &mut arrays, root);
+        let profiles: Vec<_> = arrays.profile().arrays().to_vec();
+        (
+            profiles,
+            arrays
+                .prop
+                .iter()
+                .map(|p| p.page_profile())
+                .collect::<Vec<_>>(),
+        )
+    };
+    let (bfs, mut bfs_pages) = run(Kernel::Bfs);
+    let pr = run(Kernel::Pagerank);
     let line = format!(
-        "bfs {}\n",
-        debug_digest(&(profiles, arrays.prop[0].page_profile()))
+        "bfs {}\npr {}\n",
+        debug_digest(&(bfs, bfs_pages.remove(0))),
+        debug_digest(&pr)
     );
     assert_fixture_section(ORACLE, "profiles", &line);
 }
