@@ -242,6 +242,8 @@ impl CsrBuilder {
     }
 
     /// Build directly from an unsorted edge list (counting sort by source).
+    /// `weight_of(i)` gives edge `i`'s weight; it is called once per edge,
+    /// in index order.
     pub fn from_edge_list(
         num_vertices: u32,
         edges: &[(VertexId, VertexId)],
@@ -256,7 +258,8 @@ impl CsrBuilder {
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
-        let offsets = counts.clone();
+        // `cursor[v]` is where `v`'s next edge goes: `v`'s offset until
+        // placement, then the next vertex's offset.
         let mut cursor = counts;
         let mut edge_arr = vec![0 as VertexId; edges.len()];
         let mut values = weight_of.as_ref().map(|_| vec![0u32; edges.len()]);
@@ -269,8 +272,12 @@ impl CsrBuilder {
                 vals[pos] = wf(i);
             }
         }
+        // Placement left each vertex's end offset in its slot: shift the
+        // ends up one to get the offsets.
+        cursor.copy_within(..n, 1);
+        cursor[0] = 0;
         let csr = Csr {
-            offsets,
+            offsets: cursor,
             edges: edge_arr,
             values,
         };

@@ -53,6 +53,7 @@ mod khugepaged;
 mod pagecache;
 mod reclaim;
 mod stats;
+mod steady;
 mod swapdev;
 mod system;
 mod vma;
@@ -63,6 +64,7 @@ pub use config::{
 pub use governor::{GovernorConfig, GovernorEpochSample, GovernorStats};
 pub use pagecache::PageCache;
 pub use stats::OsStats;
+pub use steady::SteadyEpoch;
 pub use swapdev::SwapDevice;
 pub use system::{MappingReport, System};
 pub use vma::{AddressSpace, Vma, VmaId};

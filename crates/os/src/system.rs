@@ -150,6 +150,13 @@ pub struct System {
     /// span 2 MB-class, which is where THP runs earn their keep.
     pub(crate) memo_lo: u64,
     pub(crate) memo_span: u64,
+    /// Whether a steady epoch is being replayed (see
+    /// [`System::steady_epoch`]): every access call returns at once,
+    /// counting its elements into `replayed_accesses`.
+    pub(crate) replaying: bool,
+    pub(crate) replayed_accesses: u64,
+    /// Host-side `(simulated, replayed)` steady-epoch counts.
+    pub(crate) steady_epochs: (u64, u64),
     /// Boot-time-reserved hugetlbfs pool (paper §2.3's explicit huge
     /// pages): guaranteed huge frames, immune to later fragmentation.
     pub(crate) hugetlb_pool: Vec<FrameRange>,
@@ -222,6 +229,9 @@ impl System {
             run_memo: None,
             memo_lo: u64::MAX,
             memo_span: 0,
+            replaying: false,
+            replayed_accesses: 0,
+            steady_epochs: (0, 0),
             hugetlb_pool: Vec::new(),
             deposits: HashMap::new(),
         };
@@ -368,6 +378,10 @@ impl System {
     }
 
     fn access(&mut self, addr: VirtAddr, is_write: bool) {
+        if self.replaying {
+            self.replayed_accesses += 1;
+            return;
+        }
         if let Some(t) = &mut self.tracer {
             t.push(addr, is_write);
         }
@@ -531,6 +545,10 @@ impl System {
     /// would under scalar stepping, and the memo is discarded whenever
     /// events run (they may flush TLBs).
     pub fn access_run(&mut self, base: VirtAddr, stride: u64, count: u64, is_write: bool) {
+        if self.replaying {
+            self.replayed_accesses += count;
+            return;
+        }
         if let Some(t) = &mut self.tracer {
             for i in 0..count {
                 t.push(base.add(i * stride), is_write);
@@ -614,6 +632,10 @@ impl System {
         indices: &[u32],
         is_write: bool,
     ) {
+        if self.replaying {
+            self.replayed_accesses += indices.len() as u64;
+            return;
+        }
         if let Some(t) = &mut self.tracer {
             for &i in indices {
                 t.push(base.add(u64::from(i) * elem_bytes), is_write);
@@ -629,6 +651,10 @@ impl System {
     /// PageRank's push phase). The store always lands on the load's page,
     /// so it rides the cursor the load just refreshed.
     pub fn access_gather_rmw(&mut self, base: VirtAddr, elem_bytes: u64, indices: &[u32]) {
+        if self.replaying {
+            self.replayed_accesses += 2 * indices.len() as u64;
+            return;
+        }
         if let Some(t) = &mut self.tracer {
             for &i in indices {
                 let addr = base.add(u64::from(i) * elem_bytes);
@@ -654,6 +680,7 @@ impl System {
     /// telemetry stamps and epoch sampling in step — the same bookkeeping
     /// the access fault path does after charging fault cycles.
     pub(crate) fn advance_clock(&mut self, cycles: u64) {
+        debug_assert!(!self.replaying, "bulk cycles inside a replayed epoch");
         self.clock += cycles;
         if self.telemetry_on {
             self.telemetry.set_clock(self.clock);
@@ -666,6 +693,7 @@ impl System {
     /// of each page (models `memset`-style initialization without
     /// simulating every line).
     pub fn populate(&mut self, addr: VirtAddr, len: u64) {
+        debug_assert!(!self.replaying, "populate inside a replayed epoch");
         let lines_per_page = FRAME_SIZE / 64;
         let bulk = (lines_per_page - 1) * 4; // remaining lines hit L1
         let mut off = 0;
@@ -963,6 +991,11 @@ impl System {
         self.mmu.counters()
     }
 
+    /// Data-cache `(hits, misses)` per level, L1 → L3.
+    pub fn cache_stats(&self) -> [(u64, u64); 3] {
+        self.mmu.cache_stats()
+    }
+
     /// OS event counters.
     pub fn os_stats(&self) -> &OsStats {
         &self.stats
@@ -1067,6 +1100,7 @@ impl System {
     // ------------------------------------------------------------------
 
     pub(crate) fn charge(&mut self, cycles: u64) {
+        debug_assert!(!self.replaying, "kernel cycles inside a replayed epoch");
         self.clock += cycles;
         self.stats.kernel_cycles += cycles;
         self.telemetry.set_clock(self.clock);

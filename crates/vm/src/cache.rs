@@ -198,6 +198,24 @@ impl CacheHierarchy {
         ]
     }
 
+    /// Add per-level `(hits, misses)` counts, L1 → L3, that happened
+    /// without passing through [`Self::access`] (a replayed epoch's).
+    pub(crate) fn add_level_stats(&mut self, delta: &[(u64, u64); 3]) {
+        for (a, &(hits, misses)) in [&mut self.l1, &mut self.l2, &mut self.l3]
+            .into_iter()
+            .zip(delta)
+        {
+            a.hits += hits;
+            a.misses += misses;
+        }
+    }
+
+    /// Every level's ways, L1 → L3: each set's line addresses in recency
+    /// order, set after set.
+    pub(crate) fn ways(&self) -> [&[u64]; 3] {
+        [&self.l1.lines, &self.l2.lines, &self.l3.lines]
+    }
+
     /// Valid lines held by each level, L1 → L3.
     #[cfg(test)]
     pub(crate) fn occupancy(&self) -> [usize; 3] {

@@ -68,7 +68,9 @@ pub use attribution::RegionCounters;
 pub use cache::{CacheGeometry, CacheHierarchy, CacheLevel};
 pub use config::{CostModel, MmuConfig, TlbConfig, TlbGeometry};
 pub use counters::PerfCounters;
-pub use mmu::{AccessCost, Fault, FaultKind, MemorySystem, PageRunCharge, TranslationMemo};
+pub use mmu::{
+    AccessCost, Fault, FaultKind, MemorySystem, PageRunCharge, TranslationMemo, WaySnapshot,
+};
 pub use pagetable::{Leaf, MapError, PageTable, WalkResult};
 pub use tlb::SetAssocTlb;
 pub use trace::AccessTrace;

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use graphmem_physmem::{NodeId, FRAME_SIZE};
+use graphmem_telemetry::counters::Cumulative;
 use graphmem_telemetry::{EventKind, EventMask, TlbLevel, Tracer};
 
 use crate::addr::{PageGeometry, PageSize, VirtAddr};
@@ -67,7 +68,7 @@ pub enum FaultKind {
 /// Bulk charges never fill, so the memo stays valid until the caller runs
 /// something that can mutate TLBs or the page table (OS daemons, fault
 /// handling, unmapping syscalls) and must then discard it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TranslationMemo {
     entry: TlbEntry,
 }
@@ -89,6 +90,16 @@ pub struct PageRunCharge {
     pub elems: u64,
     /// Cycles accrued by the charged elements.
     pub cycles: u64,
+}
+
+/// A copy of every TLB, page-walk-cache and data-cache way of a
+/// [`MemorySystem`], in recency order: together with the page table, the
+/// state that decides what every later access costs. Taken with
+/// [`MemorySystem::snapshot_ways`] and compared against the live state
+/// with [`MemorySystem::ways_match`]; counters are not part of it.
+#[derive(Debug, Default)]
+pub struct WaySnapshot {
+    words: Vec<u64>,
 }
 
 /// The simulated MMU + cache front end of one core.
@@ -718,6 +729,51 @@ impl MemorySystem {
     /// Data cache hit/miss statistics per level (L1→L3).
     pub fn cache_stats(&self) -> [(u64, u64); 3] {
         self.caches.level_stats()
+    }
+
+    /// Feed the way state to `f` as word runs (the three TLBs, then each
+    /// page-walk-cache level, then each data-cache level), stopping at the
+    /// first run `f` rejects. Returns whether every run was accepted.
+    fn for_each_way_run(&self, mut f: impl FnMut(&[u64]) -> bool) -> bool {
+        let mut tlbs = Vec::new();
+        for tlb in [&self.dtlb_base, &self.dtlb_huge, &self.stlb] {
+            tlb.push_ways(&mut tlbs);
+        }
+        f(&tlbs)
+            && self.pwc.ways().iter().all(|level| f(level))
+            && self.caches.ways().into_iter().all(f)
+    }
+
+    /// Copy every TLB, page-walk-cache and data-cache way into `snap`,
+    /// reusing its buffer.
+    pub fn snapshot_ways(&self, snap: &mut WaySnapshot) {
+        snap.words.clear();
+        self.for_each_way_run(|run| {
+            snap.words.extend_from_slice(run);
+            true
+        });
+    }
+
+    /// Whether every TLB, page-walk-cache and data-cache way holds what it
+    /// held when `snap` was taken, recency order included.
+    pub fn ways_match(&self, snap: &WaySnapshot) -> bool {
+        let mut rest = snap.words.as_slice();
+        self.for_each_way_run(|run| match rest.split_at_checked(run.len()) {
+            Some((head, tail)) if head == run => {
+                rest = tail;
+                true
+            }
+            _ => false,
+        }) && rest.is_empty()
+    }
+
+    /// Add the counters of accesses that were accounted without being
+    /// simulated (a replayed epoch): hardware counters and per-level
+    /// data-cache `(hits, misses)`, L1 → L3. TLB and cache contents are
+    /// left as they are.
+    pub fn add_unsimulated(&mut self, perf: &PerfCounters, cache: &[(u64, u64); 3]) {
+        self.counters.accumulate(perf);
+        self.caches.add_level_stats(cache);
     }
 }
 

@@ -159,6 +159,8 @@ pub struct PageTable {
     free: Vec<usize>,
     /// Total frames held by table pages.
     table_frames: u64,
+    /// Bumped by every mutating call (see [`PageTable::generation`]).
+    generation: u64,
 }
 
 /// A table-page allocator: returns one kernel frame or `None` on OOM.
@@ -201,6 +203,7 @@ impl PageTable {
             frames: Vec::new(),
             free: Vec::new(),
             table_frames: 0,
+            generation: 0,
         };
         pt.new_table(0);
         pt
@@ -220,6 +223,12 @@ impl PageTable {
     /// yields `[9, 9, 9, 9]`.
     pub fn level_widths(&self) -> [u8; 4] {
         self.levels.map(|l| l.width)
+    }
+
+    /// A count of the mutating calls made so far, failed ones included:
+    /// equal generations prove that no mapping changed in between.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Frames currently consumed by table pages.
@@ -343,6 +352,7 @@ impl PageTable {
         frame_node: NodeId,
         alloc: &mut TableAlloc<'_>,
     ) -> Result<(), MapError> {
+        self.generation += 1;
         if !vaddr.is_aligned(self.geom.bytes(size)) {
             return Err(MapError::Misaligned);
         }
@@ -418,6 +428,7 @@ impl PageTable {
     ///
     /// [`MapError::NotMapped`] if no present translation exists.
     pub fn unmap(&mut self, vaddr: VirtAddr) -> Result<Leaf, MapError> {
+        self.generation += 1;
         let slot = self.find(vaddr).ok_or(MapError::NotMapped)?;
         let Entry::Leaf(leaf) = self.slots[slot] else {
             return Err(MapError::NotMapped);
@@ -446,6 +457,7 @@ impl PageTable {
         new_frame: Frame,
         frame_node: NodeId,
     ) -> Result<Leaf, MapError> {
+        self.generation += 1;
         let (slot, old) = self.base_leaf(vaddr)?;
         self.slots[slot] = Entry::Leaf(Leaf {
             frame: new_frame,
@@ -462,6 +474,7 @@ impl PageTable {
     /// [`MapError::NotMapped`] if the address is not mapped by a base page
     /// (huge pages must be demoted before swap-out).
     pub fn set_swapped(&mut self, vaddr: VirtAddr, slot: u64) -> Result<Leaf, MapError> {
+        self.generation += 1;
         let (s, leaf) = self.base_leaf(vaddr)?;
         self.slots[s] = Entry::Swapped(slot);
         Ok(leaf)
@@ -478,6 +491,7 @@ impl PageTable {
         frame: Frame,
         frame_node: NodeId,
     ) -> Result<(), MapError> {
+        self.generation += 1;
         match self.find(vaddr) {
             Some(s) if matches!(self.slots[s], Entry::Swapped(_)) => {
                 self.slots[s] = Entry::Leaf(Leaf {
@@ -514,6 +528,7 @@ impl PageTable {
         vaddr: VirtAddr,
         alloc: &mut TableAlloc<'_>,
     ) -> Result<Leaf, MapError> {
+        self.generation += 1;
         let dir = self.dir_slot(vaddr)?;
         let old = match self.slots[dir] {
             Entry::Leaf(l) if l.size == PageSize::Huge => l,
@@ -553,6 +568,7 @@ impl PageTable {
         new_frame: Frame,
         frame_node: NodeId,
     ) -> Result<(Vec<Leaf>, Vec<Frame>), MapError> {
+        self.generation += 1;
         let dir = self.dir_slot(vaddr)?;
         let Entry::Table(table) = self.slots[dir] else {
             return Err(MapError::NotMapped);

@@ -70,6 +70,11 @@ impl PageWalkCaches {
         }
     }
 
+    /// Every level's set, root level first, in recency order.
+    pub(crate) fn ways(&self) -> &[Vec<u64>; 3] {
+        &self.levels
+    }
+
     pub(crate) fn flush(&mut self) {
         for set in &mut self.levels {
             set.fill(INVALID);

@@ -175,6 +175,20 @@ impl SetAssocTlb {
         self.keys.fill(INVALID);
     }
 
+    /// Append each way's probe key, frame and node, in way order; an
+    /// invalid way contributes its key and two zeros (its stale payload is
+    /// never read).
+    pub(crate) fn push_ways(&self, out: &mut Vec<u64>) {
+        for (&key, e) in self.keys.iter().zip(&self.entries) {
+            let (frame, node) = if key == INVALID {
+                (0, 0)
+            } else {
+                (e.frame, u64::from(e.node))
+            };
+            out.extend([key, frame, node]);
+        }
+    }
+
     /// Number of currently valid entries (diagnostics).
     pub fn occupancy(&self) -> u32 {
         self.keys.iter().filter(|&&k| k != INVALID).count() as u32

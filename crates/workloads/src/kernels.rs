@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use graphmem_graph::{Csr, VertexId};
-use graphmem_os::System;
+use graphmem_os::{SteadyEpoch, System};
 
 use crate::arrays::GraphArrays;
 
@@ -171,30 +171,37 @@ fn pagerank_simulated(sys: &mut System, arrays: &mut GraphArrays) -> Vec<u64> {
     let n = arrays.vertex.len() - 1;
     let init = 1.0 / n as f64;
     arrays.prop[0].scan_write_with(sys, 0, n, |_| init.to_bits());
+    // Every iteration issues the same accesses (all edges, both sweeps),
+    // whatever the ranks are, so steady iterations replay (see
+    // `System::steady_epoch`).
+    let mut record = SteadyEpoch::default();
     for _iter in 0..PR_MAX_ITERS {
-        let base = (1.0 - PR_DAMPING) / n as f64;
-        arrays.prop[1].scan_write_with(sys, 0, n, |_| base.to_bits());
-        for v in 0..n {
-            let off = arrays.vertex.scan(sys, v, 2);
-            let (start, end) = (off[0] as usize, off[1] as usize);
-            if start == end {
-                continue;
+        let delta = sys.steady_epoch(&mut record, |sys| {
+            let base = (1.0 - PR_DAMPING) / n as f64;
+            arrays.prop[1].scan_write_with(sys, 0, n, |_| base.to_bits());
+            for v in 0..n {
+                let off = arrays.vertex.scan(sys, v, 2);
+                let (start, end) = (off[0] as usize, off[1] as usize);
+                if start == end {
+                    continue;
+                }
+                let rank = f64::from_bits(arrays.prop[0].get(sys, v));
+                let contrib = PR_DAMPING * rank / (end - start) as f64;
+                let nbrs = arrays.edge.scan(sys, start, end - start);
+                // Pointer-indirect read-modify-write:
+                arrays.prop[1]
+                    .gather_update(sys, nbrs, |cur| (f64::from_bits(cur) + contrib).to_bits());
             }
-            let rank = f64::from_bits(arrays.prop[0].get(sys, v));
-            let contrib = PR_DAMPING * rank / (end - start) as f64;
-            let nbrs = arrays.edge.scan(sys, start, end - start);
-            // Pointer-indirect read-modify-write:
-            arrays.prop[1]
-                .gather_update(sys, nbrs, |cur| (f64::from_bits(cur) + contrib).to_bits());
-        }
-        // Convergence sweep (sequential reads of both arrays).
-        let mut delta = 0.0;
-        for v in 0..n {
-            let old = f64::from_bits(arrays.prop[0].get(sys, v));
-            let new = f64::from_bits(arrays.prop[1].get(sys, v));
-            delta += (new - old).abs();
-            arrays.prop[0].set(sys, v, new.to_bits());
-        }
+            // Convergence sweep (sequential reads of both arrays).
+            let mut delta = 0.0;
+            for v in 0..n {
+                let old = f64::from_bits(arrays.prop[0].get(sys, v));
+                let new = f64::from_bits(arrays.prop[1].get(sys, v));
+                delta += (new - old).abs();
+                arrays.prop[0].set(sys, v, new.to_bits());
+            }
+            delta
+        });
         if delta < PR_EPSILON {
             break;
         }

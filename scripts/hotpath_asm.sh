@@ -5,14 +5,18 @@
 #   scripts/hotpath_asm.sh BINARY
 #
 # BINARY is perfbench/target/release/graphmem-perfbench of some checkout.
-# The functions are MemorySystem::access_slow and charge_page_hits (vm)
-# and System::access_probed_hot and access_gather_rmw (os). Everything
-# that depends on where the linker placed code or data is stripped before
-# hashing: instruction addresses, rip-relative displacements, symbol
-# hashes, LLVM's local-symbol suffixes and offsets into anonymous
-# constants. Equal hashes in two builds mean equal instruction streams,
-# so a change outside these functions cannot have changed their speed.
-# Needs binutils (nm, objdump, c++filt).
+# The functions are System::access_probed_hot and access_gather_rmw (os),
+# MemorySystem::access_slow and charge_page_hits (vm), and the vm
+# functions they call out of line on every probe, fill or walk:
+# CacheHierarchy::access, SetAssocTlb::lookup and insert, and
+# PageTable::walk_path. Everything that depends on where the linker placed
+# code or data is stripped before hashing: instruction addresses,
+# rip-relative displacements, symbol hashes, LLVM's local-symbol suffixes
+# and offsets into anonymous constants. Equal hashes in two builds mean
+# equal instruction streams for the whole per-access path, so a change
+# elsewhere cannot have changed its speed (glibc's memmove, which the
+# LRU shifts call, is outside the binary). Needs binutils (nm, objdump,
+# c++filt).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -22,7 +26,7 @@ fi
 bin=$1
 
 nm "$bin" \
-  | awk '$3 ~ /access_slow|charge_page_hits|access_probed_hot|access_gather_rmw/ {print $3}' \
+  | awk '$3 ~ /access_slow|charge_page_hits|access_probed_hot|access_gather_rmw|14CacheHierarchy6access17h|11SetAssocTlb6(lookup|insert)17h|9PageTable9walk_path17h/ {print $3}' \
   | while read -r sym; do
     listing=$(objdump -d --no-show-raw-insn --disassemble="$sym" "$bin" \
       | sed -n '/^[0-9a-f]* </,$p' | tail -n +2)

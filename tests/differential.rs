@@ -12,11 +12,12 @@
 //! pipeline still checked them field by field.
 
 use graphmem_core::{Experiment, PagePolicy, RunReport};
-use graphmem_graph::Dataset;
+use graphmem_graph::{Csr, Dataset};
 use graphmem_integration_tests::{assert_fixture_section, debug_digest, fnv1a};
-use graphmem_os::{System, SystemSpec, ThpMode, VirtAddr};
+use graphmem_os::{OsStats, System, SystemSpec, ThpMode, VirtAddr};
 use graphmem_telemetry::{EventKind, EventMask, TraceConfig, Tracer};
-use graphmem_workloads::{AllocOrder, GraphArrays, Kernel};
+use graphmem_vm::PerfCounters;
+use graphmem_workloads::{AllocOrder, ArrayProfile, GraphArrays, Kernel};
 use proptest::prelude::*;
 
 const ORACLE: &str = include_str!("golden/oracle_digests.txt");
@@ -149,6 +150,85 @@ fn per_array_profiles_bit_identical() {
         debug_digest(&pr)
     );
     assert_fixture_section(ORACLE, "profiles", &line);
+}
+
+/// Everything a direct PageRank run leaves behind, simulated state and
+/// host-side statistics alike.
+#[derive(Debug, PartialEq)]
+struct PagerankOutcome {
+    output: Vec<u64>,
+    clock: u64,
+    perf: PerfCounters,
+    os: OsStats,
+    cache: [(u64, u64); 3],
+    memo: (u64, u64),
+    profiles: Vec<ArrayProfile>,
+    pages: Vec<Option<Vec<u64>>>,
+}
+
+/// PageRank on `ds` at oracle scale, sized like `Experiment::try_run`
+/// sizes its node, at huge order 4 with THP off or system-wide. `traced`
+/// attaches an `AccessTrace`, which forces every iteration through the
+/// simulator. Also returns the steady-epoch `(simulated, replayed)` counts.
+fn pagerank_outcome(csr: &Csr, thp: bool, traced: bool) -> (PagerankOutcome, (u64, u64)) {
+    let (vertex_bytes, edge_bytes, _) = csr.array_bytes();
+    let wss = vertex_bytes + edge_bytes + 2 * u64::from(csr.num_vertices()) * 8;
+    let mut spec = SystemSpec::scaled_with_order((wss * 3 / (1 << 20) + 64).max(64), 4);
+    if thp {
+        spec.thp.mode = ThpMode::Always;
+    }
+    let mut sys = System::new(spec);
+    let mut arrays = GraphArrays::map(&mut sys, csr, Kernel::Pagerank);
+    arrays.initialize(&mut sys, AllocOrder::Natural);
+    for p in &arrays.prop {
+        p.profile_pages(1 << 16);
+    }
+    if traced {
+        sys.start_tracing();
+    }
+    let output = Kernel::Pagerank.run_simulated(&mut sys, &mut arrays, 0);
+    if traced {
+        assert!(!sys.take_trace().is_empty());
+    }
+    let outcome = PagerankOutcome {
+        output,
+        clock: sys.clock(),
+        perf: *sys.perf(),
+        os: *sys.os_stats(),
+        cache: sys.cache_stats(),
+        memo: sys.memo_stats(),
+        profiles: arrays.profile().arrays().to_vec(),
+        pages: arrays.prop.iter().map(|p| p.page_profile()).collect(),
+    };
+    (outcome, sys.steady_epoch_stats())
+}
+
+/// Replayed PageRank iterations leave exactly what simulated ones leave:
+/// on every dataset preset, at 4 KiB and under THP, a run that may
+/// replay steady iterations matches one whose attached `AccessTrace`
+/// forces each through the simulator. 4 KiB runs replay from the third
+/// iteration on (the first two establish and confirm the fixed point);
+/// THP runs have khugepaged deadlines scheduled and never replay.
+#[test]
+fn replayed_pagerank_iterations_match_simulated_ones() {
+    for ds in Dataset::ALL {
+        let csr = ds.generate_with_scale(oracle_scale(ds));
+        for thp in [false, true] {
+            let (plain, (simulated, replayed)) = pagerank_outcome(&csr, thp, false);
+            let (traced, traced_epochs) = pagerank_outcome(&csr, thp, true);
+            let cell = format!("{}/{}", ds.name(), if thp { "thp" } else { "4k" });
+            assert_eq!(plain, traced, "{cell}");
+            assert_eq!(traced_epochs, (simulated + replayed, 0), "{cell}");
+            if thp {
+                assert_eq!(replayed, 0, "{cell}");
+            } else {
+                assert!(replayed >= 1, "{cell}: no iteration replayed");
+            }
+            if ds == Dataset::Kron25 && !thp {
+                assert_eq!((simulated, replayed), (2, 4), "{cell}");
+            }
+        }
+    }
 }
 
 /// A run that faults on a page boundary mid-batch must resume at the
