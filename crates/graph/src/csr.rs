@@ -258,8 +258,7 @@ impl CsrBuilder {
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
-        // `cursor[v]` is where `v`'s next edge goes: `v`'s offset until
-        // placement, then the next vertex's offset.
+        let offsets = counts.clone();
         let mut cursor = counts;
         let mut edge_arr = vec![0 as VertexId; edges.len()];
         let mut values = weight_of.as_ref().map(|_| vec![0u32; edges.len()]);
@@ -272,12 +271,8 @@ impl CsrBuilder {
                 vals[pos] = wf(i);
             }
         }
-        // Placement left each vertex's end offset in its slot: shift the
-        // ends up one to get the offsets.
-        cursor.copy_within(..n, 1);
-        cursor[0] = 0;
         let csr = Csr {
-            offsets: cursor,
+            offsets,
             edges: edge_arr,
             values,
         };
