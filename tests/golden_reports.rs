@@ -12,6 +12,8 @@
 //! base pages only, and system-wide THP on a 0.6-fragmented machine with
 //! the page-size governor running. If a change is meant to alter the
 //! model, replace the fixture with the `actual` lines the failure prints.
+//! Two more runs pin the huge-page split: one where swap reclaim splits
+//! huge pages, one where the utilization daemon does.
 //!
 //! Observation is pinned too (`golden/observation_digests.txt`): the full
 //! telemetry event stream of two runs and the access trace of a third,
@@ -33,8 +35,9 @@ use graphmem_core::{
 };
 use graphmem_graph::Dataset;
 use graphmem_integration_tests::{assert_fixture_section, debug_digest, fnv1a, Fnv1a};
-use graphmem_os::{System, SystemSpec, ThpMode};
+use graphmem_os::{System, SystemSpec, ThpMode, UtilizationPolicy};
 use graphmem_telemetry::{EventMask, TraceConfig, Tracer};
+use graphmem_vm::{PageSize, VirtAddr};
 use graphmem_workloads::{default_root, AllocOrder, GraphArrays, Kernel};
 
 const FIXTURE: &str = include_str!("golden/report_digests.txt");
@@ -69,7 +72,6 @@ fn governed_thp() -> PageSizePlan {
 
 #[test]
 fn report_digests_match_fixture() {
-    let mut actual = String::new();
     for kernel in KERNELS {
         let cells = [
             (
@@ -89,19 +91,83 @@ fn report_digests_match_fixture() {
             cells[1].1.governor.as_ref().is_some_and(|g| g.epochs > 0),
             "{kernel}: the governed cell must run governor epochs to be probative"
         );
-        for (plan, report) in cells {
-            let digest = fnv1a(report.to_json().as_bytes());
-            actual.push_str(&format!("{kernel} {plan} {digest}\n"));
-        }
+        let actual: String = cells
+            .iter()
+            .map(|(plan, report)| format!("{plan} {}\n", fnv1a(report.to_json().as_bytes())))
+            .collect();
+        assert_fixture_section(FIXTURE, &kernel.to_string(), &actual);
     }
-    let expected: String = FIXTURE
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| format!("{l}\n"))
+}
+
+/// An oversubscribed THP run: 6% less free memory than the working set,
+/// so reclaim splits huge pages before it can swap their base pages.
+#[test]
+fn swap_split_report_is_pinned() {
+    let report = run(
+        Kernel::Bfs,
+        PageSizePlan::with_policy(PagePolicy::ThpSystemWide),
+        MemoryCondition::pressured(Surplus::FractionOfWss(-0.06)),
+    );
+    assert!(
+        report.os.demotions > 0 && report.os.swap_outs > 0,
+        "the run must split huge pages for swap to be probative: {:?}",
+        report.os
+    );
+    let line = format!("bfs-thp {}\n", fnv1a(report.to_json().as_bytes()));
+    assert_fixture_section(FIXTURE, "swap-split", &line);
+}
+
+/// A THP program under the utilization daemon with `reclaim_untouched`:
+/// odd regions are used in full, even ones only in their first quarter,
+/// so kbloatd splits the even huge pages and frees their untouched base
+/// pages. Pinned as a digest of the clock, perf and OS counters, the
+/// free frames and the mapping report.
+#[test]
+fn kbloatd_split_run_is_pinned() {
+    const REGIONS: u64 = 32;
+    let mut spec = SystemSpec::scaled_with_order(64, 4);
+    spec.thp.mode = ThpMode::Always;
+    spec.thp.utilization_demotion = Some(UtilizationPolicy {
+        threshold: 0.5,
+        scan_interval_cycles: 1_000_000,
+        reclaim_untouched: true,
+    });
+    let mut sys = System::new(spec);
+    let huge = sys.geometry().bytes(PageSize::Huge);
+    let pages = huge / 4096;
+    let a = sys.mmap(REGIONS * huge, "sparse");
+    let hot: Vec<VirtAddr> = (0..REGIONS)
+        .flat_map(|r| {
+            let used = if r % 2 == 0 { pages / 4 } else { pages };
+            (0..used).map(move |p| a.add(r * huge + p * 4096))
+        })
         .collect();
-    assert_eq!(
-        actual, expected,
-        "report digests moved: the simulated model changed"
+    for &va in &hot {
+        sys.write(va);
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..400_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        sys.read(hot[(x % hot.len() as u64) as usize]);
+    }
+    let os = *sys.os_stats();
+    assert!(
+        os.demotions > 0 && os.util_demotions > 0 && os.bloat_frames_reclaimed > 0,
+        "kbloatd must split and reclaim to be probative: {os:?}"
+    );
+    let state = (
+        sys.clock(),
+        *sys.perf(),
+        os,
+        sys.zone(sys.local_node()).free_frames(),
+        sys.mapping_report(a),
+    );
+    assert_fixture_section(
+        FIXTURE,
+        "kbloatd-split",
+        &format!("sparse-thp {}\n", debug_digest(&state)),
     );
 }
 
@@ -387,7 +453,7 @@ const PAGETABLES: &str = include_str!("golden/pagetable_digests.txt");
 
 fn pagetable_script(order: u8) -> String {
     use graphmem_physmem::{MemConfig, Owner, Zone};
-    use graphmem_vm::{PageSize, PageTable, VirtAddr};
+    use graphmem_vm::PageTable;
     use std::fmt::Write as _;
 
     let cfg = MemConfig::with_huge_order(order);
