@@ -523,7 +523,6 @@ fn datasets() {
 mod tests {
     use super::*;
     use crate::parse::{parse, Command};
-    use graphmem_core::sweep;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -552,7 +551,13 @@ mod tests {
     /// returning `(parameter, report)` rows in sweep order.
     fn sweep_rows(kind: SweepKind, spec: &RunSpec, threads: usize) -> Vec<(f64, RunReport)> {
         let exps = spec.experiments(Some(kind)).expect("valid spec");
-        let reports = sweep::run_parallel(exps, threads).expect("sweep failed");
+        let config = SupervisorConfig {
+            threads,
+            ..SupervisorConfig::default()
+        };
+        let reports = run_supervised(&exps, &config)
+            .and_then(SweepOutcome::into_reports)
+            .expect("sweep failed");
         kind.params().iter().copied().zip(reports).collect()
     }
 

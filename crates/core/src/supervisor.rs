@@ -261,7 +261,7 @@ impl SweepOutcome {
     }
 
     /// All reports, or the first failure (grid order) if any config
-    /// failed — the all-or-nothing view `run_parallel` exposes.
+    /// failed — the all-or-nothing view of a sweep.
     ///
     /// # Errors
     ///

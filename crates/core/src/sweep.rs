@@ -1,39 +1,5 @@
-//! The paper's sensitivity ladders (expanded into grids by
-//! [`SweepKind::experiments`](crate::SweepKind::experiments)) and the
-//! all-or-nothing parallel runner.
-
-use crate::error::GraphmemError;
-use crate::experiment::Experiment;
-use crate::report::RunReport;
-use crate::supervisor::{run_supervised, SupervisorConfig};
-
-/// Run many independent experiments on up to `threads` OS threads,
-/// returning reports in input order. Every experiment is deterministic and
-/// self-contained, so parallel execution yields bit-identical results to a
-/// serial loop — only the wall-clock time changes.
-///
-/// This is the all-or-nothing convenience wrapper over
-/// [`run_supervised`]: an empty list returns an empty vector without
-/// spawning anything, and the first
-/// failing experiment (grid order) surfaces as the error. Use the
-/// supervisor directly for per-config outcomes, retries, or
-/// checkpoint/resume.
-///
-/// # Errors
-///
-/// Returns [`GraphmemError::InvalidConfig`] if `threads` is zero, or the
-/// first experiment failure (a worker panic becomes
-/// [`GraphmemError::Panic`] instead of propagating).
-pub fn run_parallel(
-    experiments: Vec<Experiment>,
-    threads: usize,
-) -> Result<Vec<RunReport>, GraphmemError> {
-    let config = SupervisorConfig {
-        threads,
-        ..SupervisorConfig::default()
-    };
-    run_supervised(&experiments, &config)?.into_reports()
-}
+//! The paper's sensitivity ladders, expanded into grids by
+//! [`SweepKind::experiments`](crate::SweepKind::experiments).
 
 /// The paper's pressure ladder: −6 % (oversubscribed ≈ −0.5 GB) through
 /// +35 % (≈ +3 GB) of WSS.
@@ -49,10 +15,27 @@ pub const SELECTIVITY_LEVELS: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 mod tests {
     use super::*;
     use crate::condition::MemoryCondition;
+    use crate::error::GraphmemError;
+    use crate::experiment::Experiment;
     use crate::policy::PagePolicy;
+    use crate::report::RunReport;
     use crate::spec::SweepKind;
+    use crate::supervisor::{run_supervised, SupervisorConfig};
     use graphmem_graph::Dataset;
     use graphmem_workloads::Kernel;
+
+    /// All reports of `experiments` run on `threads` workers, or the first
+    /// failure.
+    fn run_all(
+        experiments: &[Experiment],
+        threads: usize,
+    ) -> Result<Vec<RunReport>, GraphmemError> {
+        let config = SupervisorConfig {
+            threads,
+            ..SupervisorConfig::default()
+        };
+        run_supervised(experiments, &config)?.into_reports()
+    }
 
     fn proto() -> Experiment {
         Experiment::builder(Dataset::Wiki, Kernel::Bfs)
@@ -65,7 +48,7 @@ mod tests {
     #[test]
     fn pressure_sweep_is_ordered_and_verified() {
         let proto = proto().policy(PagePolicy::ThpSystemWide);
-        let rs = run_parallel(SweepKind::Pressure.experiments(&proto), 2).unwrap();
+        let rs = run_all(&SweepKind::Pressure.experiments(&proto), 2).unwrap();
         assert_eq!(rs.len(), PRESSURE_LADDER.len());
         assert!(rs.iter().all(|r| r.verified));
         // More surplus ⇒ at least as much huge coverage.
@@ -75,7 +58,7 @@ mod tests {
 
     #[test]
     fn selectivity_sweep_monotone_in_advised_bytes() {
-        let rs = run_parallel(SweepKind::Selectivity.experiments(&proto()), 2).unwrap();
+        let rs = run_all(&SweepKind::Selectivity.experiments(&proto()), 2).unwrap();
         assert!(rs.iter().all(|r| r.verified));
         let f: Vec<f64> = rs.iter().map(RunReport::property_huge_fraction).collect();
         assert!(f.windows(2).all(|w| w[0] <= w[1]), "{f:?}");
@@ -89,7 +72,7 @@ mod tests {
             .iter()
             .map(|&l| proto.clone().condition(MemoryCondition::fragmented(l)))
             .collect();
-        let par = run_parallel(exps.clone(), 2).unwrap();
+        let par = run_all(&exps, 2).unwrap();
         let ser: Vec<_> = exps.iter().map(|e| e.run()).collect();
         for (p, s) in par.iter().zip(&ser) {
             assert_eq!(p.to_json(), s.to_json(), "bit-identical reports");
@@ -97,18 +80,18 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_edge_cases() {
-        assert!(run_parallel(Vec::new(), 4).unwrap().is_empty());
+    fn supervised_sweep_edge_cases() {
+        assert!(run_all(&[], 4).unwrap().is_empty());
         assert!(matches!(
-            run_parallel(Vec::new(), 0),
-            Err(crate::error::GraphmemError::InvalidConfig(_))
+            run_all(&[], 0),
+            Err(GraphmemError::InvalidConfig(_))
         ));
     }
 
     #[test]
     fn fragmentation_sweep_labels_condition() {
         let grid = SweepKind::Fragmentation.experiments(&proto().policy(PagePolicy::ThpSystemWide));
-        let rs = run_parallel(grid, 2).unwrap();
+        let rs = run_all(&grid, 2).unwrap();
         let half = FRAGMENTATION_LEVELS.iter().position(|&l| l == 0.5).unwrap();
         assert!(rs[half].labels[4].contains("frag50%"));
     }

@@ -33,6 +33,8 @@ impl System {
 
     /// Force one scan pass immediately (tests and experiments).
     pub fn run_kbloatd_now(&mut self) {
+        // Splits shoot down TLB entries the cursor may rely on.
+        self.clear_run_memo();
         self.kbloatd_scan();
     }
 
@@ -57,48 +59,36 @@ impl System {
             self.charge(self.cost.compact_scan_block); // scan cost per region
             let hvpn = self.geom.page_number(va, PageSize::Huge);
             let util = self.mmu.utilization_of(hvpn).unwrap_or(0.0);
-            if util < policy.threshold
-                && self.demote_huge(va, DemotionReason::Utilization, policy.reclaim_untouched)
-            {
+            if util < policy.threshold {
+                let touched = self.demote_huge(va, DemotionReason::Utilization);
+                self.requeue_split(va, &touched, policy.reclaim_untouched);
                 self.stats.util_demotions += 1;
             }
         }
     }
 
-    /// Split the huge page at `va` back into base mappings; optionally
-    /// unmap and free its never-touched base pages. Shared by the
-    /// utilization daemon and the page-size governor (which differ only
-    /// in the reported reason and in whether they reclaim untouched
-    /// sub-pages). Returns whether the demotion happened.
-    pub(crate) fn demote_huge(
-        &mut self,
-        va: VirtAddr,
-        reason: DemotionReason,
-        reclaim_untouched: bool,
-    ) -> bool {
+    /// Split the huge page at `va` back into base mappings: the one split
+    /// every demotion (swap, utilization, governor) goes through. The new
+    /// leaf table is backed by the mapping's pgtable deposit alone, so a
+    /// split never allocates. Returns which base pages were touched since
+    /// utilization tracking began (all `false` when it is off); what
+    /// becomes of the base pages is the caller's choice.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `va` is a THP huge mapping holding its deposit.
+    pub(crate) fn demote_huge(&mut self, va: VirtAddr, reason: DemotionReason) -> Vec<bool> {
+        let mut deposit = self
+            .deposits
+            .remove(&va.vpn())
+            .expect("a THP huge page holds its pgtable deposit")
+            .into_iter();
+        let old = self
+            .pt
+            .demote(va, &mut || deposit.next())
+            .expect("the deposit backs the split's leaf table");
+        debug_assert!(deposit.next().is_none(), "deposit larger than a leaf table");
         let ln = self.local_node as usize;
-        let frames = self.geom.frames(PageSize::Huge);
-        // Use the pgtable deposit to split (never allocates under pressure).
-        let mut deposit = self.deposits.remove(&va.vpn()).unwrap_or_default();
-        deposit.reverse();
-        let System {
-            ref mut pt,
-            ref mut zones,
-            ..
-        } = *self;
-        let zone = &mut zones[ln];
-        let mut alloc = || {
-            deposit
-                .pop()
-                .or_else(|| zone.alloc_frame(graphmem_physmem::Owner::Kernel))
-        };
-        let result = pt.demote(va, &mut alloc);
-        for f in deposit {
-            self.zones[ln].free_frame(f);
-        }
-        let Ok(old) = result else {
-            return false;
-        };
         self.zones[ln].split_allocated(old.frame);
         self.mmu.invalidate_page(va, PageSize::Huge);
         self.charge(self.cost.tlb_shootdown);
@@ -107,25 +97,197 @@ impl System {
             vaddr: va.0,
             reason,
         });
-
         let hvpn = self.geom.page_number(va, PageSize::Huge);
-        let bitmap = self.mmu.utilization_bitmap(hvpn);
+        let touched = self.mmu.utilization_bitmap(hvpn);
         self.mmu.clear_utilization(hvpn);
+        touched.unwrap_or_else(|| vec![false; self.geom.frames(PageSize::Huge) as usize])
+    }
+
+    /// Queue the base pages of the huge page just split at `va` as swap
+    /// candidates; with `reclaim_untouched`, unmap and free instead the
+    /// ones `touched` marks as never used.
+    pub(crate) fn requeue_split(
+        &mut self,
+        va: VirtAddr,
+        touched: &[bool],
+        reclaim_untouched: bool,
+    ) {
         let base_vpn = va.vpn();
-        for i in 0..frames {
-            let sub_va = VirtAddr((base_vpn + i) << 12);
-            let was_touched = bitmap.as_ref().is_some_and(|b| b[i as usize]);
+        for (vpn, &was_touched) in (base_vpn..).zip(touched) {
             if reclaim_untouched && !was_touched {
                 // Never-touched zero page: unmap and free the frame; a
                 // future access simply refaults a fresh zero page.
+                let sub_va = VirtAddr(vpn << 12);
                 let leaf = self.pt.unmap(sub_va).expect("just demoted");
                 self.mmu.invalidate_page(sub_va, PageSize::Base);
                 self.zones[leaf.node as usize].free_frame(leaf.frame);
                 self.stats.bloat_frames_reclaimed += 1;
             } else {
-                self.resident.push_back((base_vpn + i, PageSize::Base));
+                self.resident.push_back((vpn, PageSize::Base));
             }
         }
-        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use graphmem_physmem::Memhog;
+    use graphmem_vm::{PageSize, VirtAddr};
+    use proptest::prelude::*;
+
+    use crate::config::{SystemSpec, ThpMode, UtilizationPolicy};
+    use crate::governor::GovernorConfig;
+    use crate::system::System;
+
+    /// One step of the huge-page lifecycle, on one of the two THP regions
+    /// (`vma` 0 or 1) or the hugetlbfs one (`vma` 2).
+    #[derive(Debug, Clone)]
+    enum Step {
+        Touch { vma: usize, page: u64 },
+        Populate(usize),
+        Khugepaged,
+        Kbloatd,
+        Governor,
+        Swap(u8),
+        Release(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0..10u8, 0..3usize, 0..64u64).prop_map(|(kind, vma, page)| match kind {
+            0..=3 => Step::Touch { vma, page },
+            4 => Step::Populate(vma % 2),
+            5 => Step::Khugepaged,
+            6 => Step::Kbloatd,
+            7 => Step::Governor,
+            8 => Step::Swap(1 + (page % 8) as u8),
+            _ => Step::Release(vma),
+        })
+    }
+
+    /// Two THP regions of four huge pages each and a one-page hugetlbfs
+    /// region, on a node with less free memory than the THP regions need,
+    /// plus a populated THP region no step touches: the governor's cold
+    /// candidate.
+    fn pressured_system() -> (System, [VirtAddr; 3], Memhog) {
+        let mut spec = SystemSpec::scaled_with_order(16, 4);
+        spec.thp.mode = ThpMode::Always;
+        spec.thp.khugepaged.enabled = false;
+        spec.thp.utilization_demotion = Some(UtilizationPolicy {
+            threshold: 0.5,
+            scan_interval_cycles: u64::MAX,
+            reclaim_untouched: true,
+        });
+        let mut sys = System::new(spec);
+        sys.enable_governor(GovernorConfig {
+            epoch_cycles: 1 << 50,
+            promote_cost: 0.5,
+            demote_cost: 0.5,
+            max_actions: 4,
+        });
+        let huge = sys.geometry().bytes(PageSize::Huge);
+        assert_eq!(sys.hugetlb_reserve(1), 1);
+        let hog = Memhog::occupy_all_but(sys.zone_mut(1), 8 * huge).expect("hog fits");
+        let cold = sys.mmap(2 * huge, "cold");
+        sys.populate(cold, 2 * huge);
+        let vmas = [
+            sys.mmap(4 * huge, "a"),
+            sys.mmap(4 * huge, "b"),
+            sys.mmap_hugetlb(huge, "h"),
+        ];
+        (sys, vmas, hog)
+    }
+
+    /// A forced scan that splits the page the translation cursor sits on
+    /// leaves no stale cursor behind: the next access re-probes.
+    #[test]
+    fn forced_kbloatd_scan_drops_the_translation_cursor() {
+        let mut spec = SystemSpec::scaled_with_order(16, 4);
+        spec.thp.mode = ThpMode::Always;
+        spec.thp.utilization_demotion = Some(UtilizationPolicy {
+            scan_interval_cycles: u64::MAX,
+            ..UtilizationPolicy::default()
+        });
+        let mut sys = System::new(spec);
+        let a = sys.mmap(sys.geometry().bytes(PageSize::Huge), "a");
+        sys.write(a);
+        sys.read(a);
+        sys.run_kbloatd_now();
+        assert_eq!(sys.os_stats().demotions, 1);
+        let walks = sys.perf().stlb_misses;
+        sys.read(a);
+        assert_eq!(
+            sys.perf().stlb_misses,
+            walks + 1,
+            "the split page is walked again"
+        );
+    }
+
+    /// The deposit ledger: every live non-hugetlb huge leaf holds exactly
+    /// one deposit of a leaf table's frames, every deposit belongs to a
+    /// live huge leaf, and no frame sits in two deposits.
+    fn assert_deposit_ledger(sys: &System) {
+        let mut huge = HashSet::new();
+        for (_, vma) in sys.aspace.iter().filter(|(_, v)| !v.hugetlb()) {
+            sys.pt
+                .for_each_mapped(vma.start(), vma.end(), &mut |va, leaf| {
+                    if leaf.size == PageSize::Huge {
+                        huge.insert(va.vpn());
+                    }
+                });
+        }
+        let mut frames = HashSet::new();
+        for (vpn, deposit) in &sys.deposits {
+            assert!(
+                huge.contains(vpn),
+                "deposit at vpn {vpn:#x} has no huge leaf"
+            );
+            assert_eq!(deposit.len() as u64, sys.pt.leaf_table_frames());
+            assert!(
+                deposit.iter().all(|&f| frames.insert(f)),
+                "a frame in two deposits"
+            );
+        }
+        assert_eq!(
+            sys.deposits.len(),
+            huge.len(),
+            "a huge leaf without a deposit"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn deposit_ledger_holds_across_the_huge_page_lifecycle(
+            steps in proptest::collection::vec(step(), 1..64)
+        ) {
+            let (mut sys, vmas, _hog) = pressured_system();
+            let huge = sys.geometry().bytes(PageSize::Huge);
+            for step in steps {
+                match step {
+                    Step::Touch { vma, page } => {
+                        let len = if vma == 2 { huge } else { 4 * huge };
+                        sys.write(vmas[vma].add((page * 4096) % len));
+                    }
+                    Step::Populate(vma) => sys.populate(vmas[vma], 4 * huge),
+                    Step::Khugepaged => sys.run_khugepaged_now(),
+                    Step::Kbloatd => sys.run_kbloatd_now(),
+                    Step::Governor => sys.run_governor_now(),
+                    Step::Swap(n) => {
+                        // As on the fault path, whose reclaim this is.
+                        sys.clear_run_memo();
+                        // As on the fault path, whose reclaim this is.
+                        sys.clear_run_memo();
+                        for _ in 0..n {
+                            sys.swap_out_one();
+                        }
+                    }
+                    Step::Release(vma) => sys.release_region(vmas[vma]),
+                }
+                assert_deposit_ledger(&sys);
+            }
+        }
     }
 }

@@ -81,14 +81,9 @@ pub struct KhugepagedConfig {
     /// Whether the daemon runs at all.
     pub enabled: bool,
     /// Simulated cycles between scan passes (`scan_sleep_millisecs`).
+    /// Each pass examines 16 huge regions and promotes only fully
+    /// populated ones.
     pub scan_interval_cycles: u64,
-    /// Huge regions examined per pass (`pages_to_scan`).
-    pub regions_per_scan: usize,
-    /// Minimum fraction of a region's base pages that must be present for
-    /// promotion (Linux `max_ptes_none` expressed as a fill fraction; we
-    /// require full population by default because workloads touch
-    /// everything during initialization).
-    pub min_fill: f64,
 }
 
 impl Default for KhugepagedConfig {
@@ -96,8 +91,6 @@ impl Default for KhugepagedConfig {
         KhugepagedConfig {
             enabled: true,
             scan_interval_cycles: 20_000_000,
-            regions_per_scan: 16,
-            min_fill: 1.0,
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Demand-paging fault handling and fault-time THP allocation.
 
-use graphmem_physmem::{Frame, Owner};
+use graphmem_physmem::{Frame, FrameRange, Owner};
 use graphmem_telemetry::{EventKind, FaultOutcome};
 use graphmem_vm::{PageSize, VirtAddr};
 
-use crate::system::{System, TAG_VPN};
+use crate::system::{user_owner, System, TAG_VPN};
 
 impl System {
     /// Handle a not-present fault at `vaddr`: decide page size per the THP
@@ -67,23 +67,13 @@ impl System {
     }
 
     /// Attempt to back `vaddr`'s huge region with a freshly allocated huge
-    /// page, running bounded direct compaction if allowed. Returns `false`
-    /// on failure (caller falls back to a base page, as Linux does).
+    /// page and its pgtable deposit. Returns `false` on failure (caller
+    /// falls back to a base page, as Linux does).
     fn try_huge_fault(&mut self, vaddr: VirtAddr, locked: bool) -> bool {
-        let ln = self.local_node as usize;
-        let owner = if locked {
-            Owner::user_locked()
-        } else {
-            Owner::user()
-        };
-        let huge_order = self.zones[ln].config().huge_order;
-        let mut range = self.zones[ln].alloc(huge_order, owner);
-        if range.is_none() && self.thp.fault_defrag {
-            range = self.direct_compact_for_huge(owner);
-        }
-        let Some(range) = range else {
+        let Some((range, _)) = self.alloc_huge_frame(locked) else {
             return false;
         };
+        let ln = self.local_node as usize;
         let huge_bytes = self.geom.bytes(PageSize::Huge);
         let lo = vaddr.align_down(huge_bytes);
         // Reserve the pgtable deposit so a later split never allocates
@@ -96,6 +86,7 @@ impl System {
                     for f in deposit {
                         self.zones[ln].free_frame(f);
                     }
+                    let huge_order = self.zones[ln].config().huge_order;
                     self.zones[ln].free(range.base, huge_order);
                     return false;
                 }
@@ -110,6 +101,24 @@ impl System {
         self.stats.huge_faults += 1;
         self.resident.push_back((lo.vpn(), PageSize::Huge));
         true
+    }
+
+    /// Allocate a huge block for user data, running bounded direct
+    /// compaction when the buddy has none and `fault_defrag` allows it.
+    /// Shared by THP faults and promotion. Returns the block and whether
+    /// compaction made it.
+    pub(crate) fn alloc_huge_frame(&mut self, locked: bool) -> Option<(FrameRange, bool)> {
+        let ln = self.local_node as usize;
+        let owner = user_owner(locked);
+        let huge_order = self.zones[ln].config().huge_order;
+        if let Some(range) = self.zones[ln].alloc(huge_order, owner) {
+            return Some((range, false));
+        }
+        if !self.thp.fault_defrag {
+            return None;
+        }
+        self.direct_compact_for_huge(owner)
+            .map(|range| (range, true))
     }
 
     /// Back `vaddr` with a single base page.

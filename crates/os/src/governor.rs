@@ -6,7 +6,7 @@
 //!
 //! * **promotes** regions whose measured translation cost per access
 //!   exceeds the `promote` threshold, reusing khugepaged's promotion
-//!   machinery (hole-filling, bounded compaction, pgtable deposit);
+//!   machinery (bounded compaction, pgtable deposit);
 //! * **demotes** cold huge mappings — regions paying less than the
 //!   `demote` threshold per access — when promotions were denied for lack
 //!   of contiguity, so the freed (movable) base frames can be compacted
@@ -192,7 +192,6 @@ pub(crate) struct GovernorState {
     /// Per-region counters at the end of the previous epoch; the epoch's
     /// signal is the delta against these.
     baseline: Vec<RegionCounters>,
-    pub(crate) stats: GovernorStats,
     pub(crate) series: Vec<GovernorEpochSample>,
 }
 
@@ -216,7 +215,6 @@ impl System {
             config,
             next_run: self.clock + config.epoch_cycles,
             baseline: Vec::new(),
-            stats: GovernorStats::default(),
             series: Vec::new(),
         });
         self.recompute_event_horizon();
@@ -227,9 +225,19 @@ impl System {
         self.gov.is_some()
     }
 
-    /// Cumulative governor counters (`None` when the governor is off).
+    /// Cumulative governor counters, summed over the epoch series
+    /// (`None` when the governor is off).
     pub fn governor_stats(&self) -> Option<GovernorStats> {
-        self.gov.as_ref().map(|g| g.stats)
+        let series = &self.gov.as_ref()?.series;
+        let sum = |field: fn(&GovernorEpochSample) -> u32| -> u64 {
+            series.iter().map(|s| u64::from(field(s))).sum()
+        };
+        Some(GovernorStats {
+            epochs: series.len() as u64,
+            promotions: sum(|s| s.promoted),
+            demotions: sum(|s| s.demoted),
+            denied_by_fragmentation: sum(|s| s.denied),
+        })
     }
 
     /// The per-epoch decision series recorded so far (`None` when the
@@ -332,10 +340,6 @@ impl System {
         let mut epoch = 0u32;
         if let Some(g) = self.gov.as_mut() {
             g.baseline = current;
-            g.stats.epochs += 1;
-            g.stats.promotions += u64::from(promoted);
-            g.stats.demotions += u64::from(demoted);
-            g.stats.denied_by_fragmentation += u64::from(denied);
             g.series.push(GovernorEpochSample {
                 cycle,
                 promoted,
@@ -343,7 +347,7 @@ impl System {
                 denied,
                 fragmentation,
             });
-            epoch = g.stats.epochs as u32;
+            epoch = g.series.len() as u32;
         }
         self.telemetry.emit(EventKind::GovernorEpoch {
             epoch,
@@ -412,9 +416,9 @@ impl System {
                 if demoted >= budget {
                     break 'regions;
                 }
-                if self.demote_huge(va, DemotionReason::Governor, false) {
-                    demoted += 1;
-                }
+                let touched = self.demote_huge(va, DemotionReason::Governor);
+                self.requeue_split(va, &touched, false);
+                demoted += 1;
             }
         }
         demoted

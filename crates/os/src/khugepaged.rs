@@ -1,12 +1,14 @@
 //! khugepaged: background promotion of base-page regions to huge pages.
 
-use graphmem_physmem::Owner;
 use graphmem_telemetry::EventKind;
-use graphmem_vm::{PageSize, VirtAddr, WalkResult};
+use graphmem_vm::{PageSize, VirtAddr};
 
 use crate::config::ThpMode;
 use crate::system::{System, TAG_VPN};
 use crate::vma::VmaId;
+
+/// Huge regions examined per scan pass (Linux's `pages_to_scan`).
+const REGIONS_PER_SCAN: usize = 16;
 
 /// Why a promotion attempt succeeded or failed — the distinction the
 /// page-size governor needs to tell "this region isn't ready" from "the
@@ -20,7 +22,7 @@ pub(crate) enum PromoteOutcome {
         compacted: bool,
     },
     /// The region is not a promotion candidate (mode gating, already
-    /// huge, under-populated, or swapped-out PTEs).
+    /// huge, or not fully populated).
     Ineligible,
     /// The region was eligible but no huge frame could be allocated or
     /// compacted — denied by fragmentation.
@@ -45,6 +47,8 @@ impl System {
 
     /// Force one scan pass immediately (tests and experiments).
     pub fn run_khugepaged_now(&mut self) {
+        // Promotions flush the TLBs the cursor relies on.
+        self.clear_run_memo();
         self.khugepaged_scan();
     }
 
@@ -55,12 +59,11 @@ impl System {
             return;
         }
         let huge_bytes = self.geom.bytes(PageSize::Huge);
-        let per_scan = self.thp.khugepaged.regions_per_scan;
         let (mut vi, mut off) = self.kh.cursor;
         let mut examined = 0;
         let mut promoted = 0u32;
         let mut hops = 0; // VMA switches; 2*nvmas bounds a full wrap
-        while examined < per_scan && hops <= 2 * nvmas {
+        while examined < REGIONS_PER_SCAN && hops <= 2 * nvmas {
             if vi >= nvmas {
                 vi = 0;
                 off = 0;
@@ -92,65 +95,24 @@ impl System {
         });
     }
 
-    /// Promote `[lo, lo + huge)` if it is eligible, sufficiently populated
-    /// with base pages, and a huge frame can be found.
+    /// Promote `[lo, lo + huge)` if the THP mode allows it, every base page
+    /// of it is present, and a huge frame can be found.
     pub(crate) fn try_promote_region(&mut self, id: VmaId, lo: VirtAddr) -> PromoteOutcome {
         let huge_bytes = self.geom.bytes(PageSize::Huge);
         let huge_frames = self.geom.frames(PageSize::Huge);
         let hi = lo.add(huge_bytes);
-        let vma = self.aspace.get(id);
-        let eligible = match self.thp.mode {
-            ThpMode::Never => false,
-            ThpMode::Always => true,
-            ThpMode::Madvise => vma.range_advised(lo, hi),
-        };
-        if !eligible {
+        if !self.thp_allows(id, lo, hi) {
             return PromoteOutcome::Ineligible;
         }
-        let locked = vma.locked();
-        let (base, huge) = self.pt.count_mapped(lo, hi);
-        if huge > 0 {
-            return PromoteOutcome::Ineligible; // already huge
-        }
-        let min_fill = (self.thp.khugepaged.min_fill * huge_frames as f64).ceil() as u64;
-        if base < min_fill.max(1) {
+        // Full population is required (Linux's `max_ptes_none` = 0): the
+        // count covers present leaves only, so a region with an empty or
+        // swapped-out PTE, or already huge, is not a candidate.
+        if self.pt.count_mapped(lo, hi) != (huge_frames, 0) {
             return PromoteOutcome::Ineligible;
         }
-        // Swapped-out PTEs block promotion (khugepaged skips such regions).
-        for i in 0..huge_frames {
-            if matches!(
-                self.pt.walk(lo.add(i * graphmem_physmem::FRAME_SIZE)),
-                WalkResult::Swapped(_)
-            ) {
-                return PromoteOutcome::Ineligible;
-            }
-        }
-        // Fill any holes so the region is fully populated (Linux fills
-        // with zero pages during the copy; we fault them in).
-        if base < huge_frames {
-            for i in 0..huge_frames {
-                let va = lo.add(i * graphmem_physmem::FRAME_SIZE);
-                if matches!(self.pt.walk(va), WalkResult::NotMapped) {
-                    self.base_fault(va, locked);
-                }
-            }
-        }
-        // Allocate the destination huge frame (with bounded compaction,
-        // like khugepaged's own use of the compactor).
-        let ln = self.local_node as usize;
-        let owner = if locked {
-            Owner::user_locked()
-        } else {
-            Owner::user()
-        };
-        let huge_order = self.zones[ln].config().huge_order;
-        let mut range = self.zones[ln].alloc(huge_order, owner);
-        let mut compacted = false;
-        if range.is_none() && self.thp.fault_defrag {
-            range = self.direct_compact_for_huge(owner);
-            compacted = range.is_some();
-        }
-        let Some(range) = range else {
+        // The destination huge frame (with bounded compaction, like
+        // khugepaged's own use of the compactor).
+        let Some((range, compacted)) = self.alloc_huge_frame(self.aspace.get(id).locked()) else {
             return PromoteOutcome::NoContiguity;
         };
         // Copy + remap + shoot down.
@@ -165,7 +127,7 @@ impl System {
         // The withdrawn leaf table becomes the pgtable deposit of the new
         // huge mapping (Linux re-deposits it for a future split).
         self.deposits.insert(lo.vpn(), table_frames);
-        self.zones[ln].set_tag(range.base, TAG_VPN | lo.vpn());
+        self.zones[self.local_node as usize].set_tag(range.base, TAG_VPN | lo.vpn());
         self.mmu.flush_tlb();
         self.stats.promotions += 1;
         self.telemetry.emit(EventKind::Promotion {
@@ -186,7 +148,6 @@ mod tests {
     fn sys_always() -> System {
         let mut spec = SystemSpec::scaled_demo();
         spec.thp.mode = ThpMode::Always;
-        spec.thp.khugepaged.regions_per_scan = 1024;
         System::new(spec)
     }
 
@@ -216,7 +177,6 @@ mod tests {
     fn khugepaged_respects_madvise_mode() {
         let mut spec = SystemSpec::scaled_demo();
         spec.thp.mode = ThpMode::Madvise;
-        spec.thp.khugepaged.regions_per_scan = 1024;
         let mut sys = System::new(spec);
         let huge = sys.geometry().bytes(PageSize::Huge);
         let a = sys.mmap(4 * huge, "a");
@@ -235,7 +195,6 @@ mod tests {
         let mut spec = SystemSpec::scaled_demo();
         spec.thp.mode = ThpMode::Always;
         spec.thp.khugepaged.scan_interval_cycles = 10_000;
-        spec.thp.khugepaged.regions_per_scan = 1024;
         let mut sys = System::new(spec);
         let huge = sys.geometry().bytes(PageSize::Huge);
         sys.thp.fault_huge = false;

@@ -5,7 +5,6 @@
 //! demoted (split) before their base pages can be swapped, as the kernel
 //! does.
 
-use graphmem_physmem::Owner;
 use graphmem_telemetry::{DemotionReason, EventKind, FaultOutcome, ReclaimKind};
 use graphmem_vm::{PageSize, VirtAddr, WalkResult};
 
@@ -52,12 +51,13 @@ impl System {
             }
             match size {
                 PageSize::Huge => {
-                    if !self.demote_for_swap(va) {
-                        self.resident.push_back((vpn, size));
-                        continue;
+                    self.demote_huge(va, DemotionReason::Swap);
+                    // Its base pages go to the queue front; the next
+                    // iteration swaps one of them.
+                    let frames = self.geom.frames(PageSize::Huge);
+                    for sub in (vpn..vpn + frames).rev() {
+                        self.resident.push_front((sub, PageSize::Base));
                     }
-                    // Its base pages were pushed to the queue front;
-                    // the next iteration will swap one of them.
                 }
                 PageSize::Base => {
                     let slot = self.swap.alloc_slot();
@@ -77,61 +77,6 @@ impl System {
             }
         }
         false
-    }
-
-    /// Split the huge page at `va` so its frames become individually
-    /// swappable. Returns false if page-table frames for the split cannot
-    /// be found.
-    fn demote_for_swap(&mut self, va: VirtAddr) -> bool {
-        let ln = self.local_node as usize;
-        // The split consumes the pgtable deposit reserved at THP-fault
-        // time, so it needs no allocation (Linux's deposit/withdraw).
-        let mut deposit = self.deposits.remove(&va.vpn()).unwrap_or_default();
-        deposit.reverse(); // pop() hands them out in reserve order
-        let System {
-            ref mut pt,
-            ref mut zones,
-            ref mut cache,
-            local_node,
-            ..
-        } = *self;
-        let zone = &mut zones[ln];
-        let mut alloc = || {
-            deposit.pop().or_else(|| {
-                // Deposit missing (e.g. promotion without one): fall back
-                // to the buddy or the page cache, never recursive swap.
-                zone.alloc_frame(Owner::Kernel).or_else(|| {
-                    let f = cache.take_one(local_node)?;
-                    zone.free_frame(f);
-                    zone.alloc_frame(Owner::Kernel)
-                })
-            })
-        };
-        let result = pt.demote(va, &mut alloc);
-        #[allow(clippy::drop_non_drop)] // ends the closure's borrows explicitly
-        drop(alloc);
-        // Any deposit frames the split did not consume go back to the buddy.
-        for f in deposit {
-            self.zones[ln].free_frame(f);
-        }
-        let old = match result {
-            Ok(old) => old,
-            Err(_) => return false,
-        };
-        self.zones[ln].split_allocated(old.frame);
-        self.mmu.invalidate_page(va, PageSize::Huge);
-        self.charge(self.cost.tlb_shootdown);
-        self.stats.demotions += 1;
-        self.telemetry.emit(EventKind::Demotion {
-            vaddr: va.0,
-            reason: DemotionReason::Swap,
-        });
-        let frames = self.geom.frames(PageSize::Huge);
-        let base_vpn = va.vpn();
-        for i in (0..frames).rev() {
-            self.resident.push_front((base_vpn + i, PageSize::Base));
-        }
-        true
     }
 
     /// Handle a fault on a swapped-out page: allocate a frame (possibly
@@ -158,7 +103,7 @@ impl System {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{SystemSpec, ThpMode};
+    use crate::config::{SystemSpec, ThpMode, UtilizationPolicy};
     use crate::system::System;
     use graphmem_physmem::Memhog;
     use graphmem_vm::PageSize;
@@ -254,5 +199,26 @@ mod tests {
         let rep = sys.mapping_report(a);
         assert_eq!(rep.mapped_bytes, locked_len);
         assert!(sys.os_stats().swap_outs > 0, "pressure must have swapped");
+    }
+
+    /// A swap split forgets the huge page's touched-bitmap, as every split
+    /// does, so kbloatd never reads touches from before a split.
+    #[test]
+    fn swap_split_clears_utilization() {
+        let mut spec = SystemSpec::scaled_demo();
+        spec.thp.mode = ThpMode::Always;
+        spec.thp.utilization_demotion = Some(UtilizationPolicy {
+            scan_interval_cycles: u64::MAX,
+            ..UtilizationPolicy::default()
+        });
+        let mut sys = System::new(spec);
+        let huge = sys.geometry().bytes(PageSize::Huge);
+        let a = sys.mmap(huge, "a");
+        sys.write(a);
+        let hvpn = sys.geometry().page_number(a, PageSize::Huge);
+        assert!(sys.mmu.utilization_of(hvpn).is_some());
+        sys.swap_out_one();
+        assert_eq!(sys.os_stats().demotions, 1);
+        assert_eq!(sys.mmu.utilization_of(hvpn), None);
     }
 }

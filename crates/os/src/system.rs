@@ -334,11 +334,13 @@ impl System {
                 }
                 PageSize::Huge => {
                     zone.free(leaf.frame, zone.config().huge_order);
-                    if let Some(deposit) = self.deposits.remove(&va.vpn()) {
-                        let ln = self.local_node as usize;
-                        for f in deposit {
-                            self.zones[ln].free_frame(f);
-                        }
+                    let deposit = self
+                        .deposits
+                        .remove(&va.vpn())
+                        .expect("a THP huge page holds its pgtable deposit");
+                    let ln = self.local_node as usize;
+                    for f in deposit {
+                        self.zones[ln].free_frame(f);
                     }
                 }
             }
@@ -1124,24 +1126,28 @@ impl System {
 
     /// Whether `vaddr`'s huge region is THP-eligible in VMA `id`:
     /// the aligned region must fit in the VMA, pass the mode check
-    /// (always / advised), and be completely unpopulated.
+    /// (always / advised), and have no page table yet — a region split
+    /// earlier keeps its leaf table even once every base page is gone.
     pub(crate) fn huge_eligible(&self, id: VmaId, vaddr: VirtAddr) -> bool {
         let huge_bytes = self.geom.bytes(PageSize::Huge);
         let lo = vaddr.align_down(huge_bytes);
         let hi = lo.add(huge_bytes);
         let vma = self.aspace.get(id);
-        if lo < vma.start() || hi > vma.end() {
-            return false;
-        }
-        let mode_ok = match self.thp.mode {
+        lo >= vma.start()
+            && hi <= vma.end()
+            && self.thp_allows(id, lo, hi)
+            && self.pt.huge_slot_empty(lo)
+    }
+
+    /// Whether the THP mode lets `[lo, hi)` of VMA `id` be backed by a
+    /// huge page: always, or when advised under `madvise`. Shared by the
+    /// fault path and promotion.
+    pub(crate) fn thp_allows(&self, id: VmaId, lo: VirtAddr, hi: VirtAddr) -> bool {
+        match self.thp.mode {
             ThpMode::Never => false,
             ThpMode::Always => true,
-            ThpMode::Madvise => vma.range_advised(lo, hi),
-        };
-        if !mode_ok {
-            return false;
+            ThpMode::Madvise => self.aspace.get(id).range_advised(lo, hi),
         }
-        self.pt.count_mapped(lo, hi) == (0, 0)
     }
 
     /// Allocate one local frame for user data, reclaiming page cache and
@@ -1151,11 +1157,7 @@ impl System {
     ///
     /// Panics on true OOM (nothing reclaimable or swappable remains).
     pub(crate) fn alloc_user_frame(&mut self, locked: bool) -> Frame {
-        let owner = if locked {
-            Owner::user_locked()
-        } else {
-            Owner::user()
-        };
+        let owner = user_owner(locked);
         for _ in 0..64 {
             if let Some(f) = self.zones[self.local_node as usize].alloc_frame(owner) {
                 return f;
@@ -1165,6 +1167,15 @@ impl System {
             }
         }
         panic!("out of memory: no free, reclaimable, or swappable frames left");
+    }
+}
+
+/// The owner of a user frame: mlocked ones are unmovable.
+pub(crate) fn user_owner(locked: bool) -> Owner {
+    if locked {
+        Owner::user_locked()
+    } else {
+        Owner::user()
     }
 }
 

@@ -515,6 +515,15 @@ impl PageTable {
         }
     }
 
+    /// Whether the level-2 slot covering `vaddr` holds neither a huge leaf
+    /// nor a leaf table (Linux's `pmd_none`): only then can a huge page
+    /// be mapped there. A leaf table stays after its last base page is
+    /// unmapped, so an empty region is not necessarily an empty slot.
+    pub fn huge_slot_empty(&self, vaddr: VirtAddr) -> bool {
+        self.dir_slot(vaddr)
+            .map_or(true, |s| self.slots[s] == Entry::Empty)
+    }
+
     /// Demote the huge mapping covering `vaddr` into base mappings of its
     /// constituent frames. The new leaf table's pages come from `alloc`.
     ///
@@ -993,5 +1002,25 @@ mod tests {
             pt.count_mapped(VirtAddr(0), VirtAddr(u64::MAX >> 16)),
             (8, 0)
         );
+    }
+
+    #[test]
+    fn huge_slot_empty_until_a_table_or_huge_leaf_occupies_it() {
+        let (mut zone, mut pt) = setup(4);
+        let hb = MemConfig::with_huge_order(4).huge_bytes();
+        let (a, b) = (VirtAddr(0), VirtAddr(hb));
+        assert!(pt.huge_slot_empty(a) && pt.huge_slot_empty(b));
+        let f = zone.alloc_frame(Owner::user()).unwrap();
+        pt.map(a.add(4096), PageSize::Base, f, 0, &mut kalloc(&mut zone))
+            .unwrap();
+        assert!(!pt.huge_slot_empty(a) && pt.huge_slot_empty(b));
+        // Unmapping the last base page leaves the leaf table in place.
+        pt.unmap(a.add(4096)).unwrap();
+        assert_eq!(pt.count_mapped(a, b), (0, 0));
+        assert!(!pt.huge_slot_empty(a));
+        let r = zone.alloc(4, Owner::user()).unwrap();
+        pt.map(b, PageSize::Huge, r.base, 0, &mut kalloc(&mut zone))
+            .unwrap();
+        assert!(!pt.huge_slot_empty(b.add(4096)));
     }
 }
