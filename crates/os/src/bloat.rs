@@ -11,6 +11,9 @@
 //! utilization bitmaps (the simulated analogue of accessed-bit scanning),
 //! splits pages below the threshold, and — optionally — unmaps and frees
 //! the never-touched base pages (zero-page bloat recovery).
+//!
+//! The split itself, `System::demote_huge`, is the only one in the
+//! kernel: swap reclaim and the page-size governor split through it too.
 
 use graphmem_telemetry::{DemotionReason, EventKind};
 use graphmem_vm::{Leaf, PageSize, VirtAddr};

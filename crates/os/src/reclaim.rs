@@ -52,12 +52,13 @@ impl System {
             match size {
                 PageSize::Huge => {
                     self.demote_huge(va, DemotionReason::Swap);
-                    // Its base pages go to the queue front; the next
-                    // iteration swaps one of them.
+                    // Its base pages go to the queue front, and the next
+                    // iteration swaps the first: the budget must allow it.
                     let frames = self.geom.frames(PageSize::Huge);
                     for sub in (vpn..vpn + frames).rev() {
                         self.resident.push_front((sub, PageSize::Base));
                     }
+                    budget += 1;
                 }
                 PageSize::Base => {
                     let slot = self.swap.alloc_slot();
@@ -199,6 +200,20 @@ mod tests {
         let rep = sys.mapping_report(a);
         assert_eq!(rep.mapped_bytes, locked_len);
         assert!(sys.os_stats().swap_outs > 0, "pressure must have swapped");
+    }
+
+    /// Splitting the last huge page the scan may inspect still frees a
+    /// frame: the scan goes on to swap the split's first base page.
+    #[test]
+    fn a_swap_split_goes_on_to_swap_a_base_page() {
+        let mut spec = SystemSpec::scaled_demo();
+        spec.thp.mode = ThpMode::Always;
+        let mut sys = System::new(spec);
+        let a = sys.mmap(sys.geometry().bytes(PageSize::Huge), "a");
+        sys.write(a);
+        assert!(sys.swap_out_one(), "a frame was freed");
+        let os = sys.os_stats();
+        assert_eq!((os.demotions, os.swap_outs), (1, 1));
     }
 
     /// A swap split forgets the huge page's touched-bitmap, as every split
