@@ -7,9 +7,10 @@ use crate::stats::OsStats;
 use crate::system::System;
 
 /// The record [`System::steady_epoch`] keeps between the epochs of one
-/// loop: the state the last simulated epoch started from and, when that
-/// epoch is reusable, the counters it added. Start each loop with
-/// [`SteadyEpoch::default`]; one record serves one repeating body.
+/// loop: the state the last simulated epoch started from and, when an
+/// epoch from that state proved reusable, the counters it added. Start
+/// each loop with [`SteadyEpoch::default`]; one record serves one
+/// repeating body.
 ///
 /// An iterative all-edge kernel (PageRank's push phase plus its
 /// convergence sweep) issues the same access stream every iteration. Once
@@ -19,18 +20,25 @@ use crate::system::System;
 /// only recomputes numbers the simulator already has. An epoch is
 /// replayed only when all of these hold:
 ///
-/// - nothing can observe or interrupt it: no event is scheduled (the
-///   event horizon is `u64::MAX`), and no [`AccessTrace`], telemetry
-///   tracer or attribution table is attached, at both ends of the epoch;
-/// - the recorded epoch neither faulted nor changed [`OsStats`], and
-///   ended in exactly the state it started from: every TLB, PWC and
-///   data-cache way ([`WaySnapshot`]), the translation cursor, and the
-///   page table's [generation](graphmem_vm::PageTable::generation);
-/// - the epoch about to run starts from that same state.
+/// - nothing observes it: no [`AccessTrace`], telemetry tracer,
+///   attribution table or utilization tracking is attached;
+/// - the record holds a delta and the epoch about to run starts from the
+///   recorded state: every TLB, PWC and data-cache way ([`WaySnapshot`]),
+///   the translation cursor, and the page table's
+///   [generation](graphmem_vm::PageTable::generation);
+/// - it ends before the next scheduled event: `clock + delta < horizon`.
+///   An event fires at the first access whose clock reaches the horizon,
+///   so an epoch ending exactly on it would have run the event.
 ///
-/// The last two make the recorded epoch a fixed point: from its start
-/// state, the body's access stream returns the machine to that state, so
-/// a replay ends exactly where a simulation would have.
+/// A delta is recorded only from a simulated epoch that ran no scheduled
+/// event, neither faulted nor changed [`OsStats`], was not observed, and
+/// ended in exactly the state it started from. That makes it a fixed
+/// point: from its start state, the body's access stream returns the
+/// machine to that state, so a replay ends exactly where a simulation
+/// would have. Access costs never read the clock, so the delta is a
+/// function of the start state alone: an epoch that starts from the
+/// recorded state but must simulate (a deadline falls inside it) keeps
+/// the record for the epochs after it.
 ///
 /// [`AccessTrace`]: graphmem_vm::AccessTrace
 #[derive(Debug, Default)]
@@ -54,6 +62,7 @@ struct EpochDelta {
 /// Counter readings at one end of a simulated epoch.
 struct Readings {
     clock: u64,
+    events_run: u64,
     perf: PerfCounters,
     os: OsStats,
     cache: [(u64, u64); 3],
@@ -72,8 +81,9 @@ impl SteadyEpoch {
 impl System {
     /// Run one epoch of a loop whose every epoch issues the same access
     /// stream, replaying it from `record` instead of simulating it when
-    /// the record proves the outcome (see [`SteadyEpoch`] for the guard).
-    /// Returns what `body` returns.
+    /// the record proves the outcome and the epoch ends before the next
+    /// scheduled event (see [`SteadyEpoch`] for the guard). Returns what
+    /// `body` returns.
     ///
     /// A replayed epoch runs `body` host-side only: [`System::read`],
     /// [`System::write`], [`System::access_run`], [`System::access_gather`]
@@ -92,37 +102,44 @@ impl System {
         body: impl FnOnce(&mut System) -> R,
     ) -> R {
         debug_assert!(!self.replaying, "a steady epoch inside a replayed one");
-        if !self.replayable() {
-            record.delta = None;
+        if self.observed() {
             self.steady_epochs.0 += 1;
             return body(self);
         }
-        if let Some(delta) = record.delta.filter(|_| record.starts_at(self)) {
-            return self.replay(delta, body);
+        if record.starts_at(self) {
+            let before_horizon = |d: &EpochDelta| self.clock + d.clock < self.next_event_cycle;
+            if let Some(delta) = record.delta.filter(before_horizon) {
+                return self.replay(delta, body);
+            }
+        } else {
+            // A new start state: record it; no delta is known for it yet.
+            self.mmu.snapshot_ways(&mut record.ways);
+            record.memo = self.run_memo;
+            record.pt_generation = self.pt.generation();
+            record.delta = None;
         }
-        // Simulate, recording the start state and what the epoch adds.
-        self.mmu.snapshot_ways(&mut record.ways);
-        record.memo = self.run_memo;
-        record.pt_generation = self.pt.generation();
         let start = self.readings();
         let out = body(self);
         self.steady_epochs.0 += 1;
         let end = self.readings();
-        let fixed_point = self.replayable()
+        let fixed_point = !self.observed()
+            && end.events_run == start.events_run
             && end.perf.faults == start.perf.faults
             && end.os == start.os
             && record.starts_at(self);
-        record.delta = fixed_point.then(|| EpochDelta {
-            clock: end.clock - start.clock,
-            perf: end.perf.since(&start.perf),
-            cache: std::array::from_fn(|l| {
-                (
-                    end.cache[l].0 - start.cache[l].0,
-                    end.cache[l].1 - start.cache[l].1,
-                )
-            }),
-            memo: (end.memo.0 - start.memo.0, end.memo.1 - start.memo.1),
-        });
+        if fixed_point {
+            record.delta = Some(EpochDelta {
+                clock: end.clock - start.clock,
+                perf: end.perf.since(&start.perf),
+                cache: std::array::from_fn(|l| {
+                    (
+                        end.cache[l].0 - start.cache[l].0,
+                        end.cache[l].1 - start.cache[l].1,
+                    )
+                }),
+                memo: (end.memo.0 - start.memo.0, end.memo.1 - start.memo.1),
+            });
+        }
         out
     }
 
@@ -133,18 +150,20 @@ impl System {
         self.steady_epochs
     }
 
-    /// Whether nothing could observe or interrupt an epoch: no scheduled
-    /// event and no access observer.
-    fn replayable(&self) -> bool {
-        self.next_event_cycle == u64::MAX
-            && self.tracer.is_none()
-            && !self.telemetry_on
-            && !self.mmu.attribution_enabled()
+    /// Whether anything observes the access stream: an access trace,
+    /// telemetry, attribution or utilization tracking (kbloatd's accessed
+    /// bitmaps), each of which a replay would skip.
+    fn observed(&self) -> bool {
+        self.tracer.is_some()
+            || self.telemetry_on
+            || self.mmu.attribution_enabled()
+            || self.mmu.tracks_utilization()
     }
 
     fn readings(&self) -> Readings {
         Readings {
             clock: self.clock,
+            events_run: self.events_run,
             perf: *self.mmu.counters(),
             os: self.stats,
             cache: self.mmu.cache_stats(),
@@ -163,8 +182,8 @@ impl System {
             "a replayed steady epoch issued a different number of accesses than the recorded one"
         );
         assert!(
-            self.replayable(),
-            "a replayed steady epoch scheduled an event or attached an observer"
+            !self.observed(),
+            "a replayed steady epoch attached an observer"
         );
         self.clock += delta.clock;
         self.mmu.add_unsimulated(&delta.perf, &delta.cache);

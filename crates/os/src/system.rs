@@ -157,6 +157,9 @@ pub struct System {
     pub(crate) replayed_accesses: u64,
     /// Host-side `(simulated, replayed)` steady-epoch counts.
     pub(crate) steady_epochs: (u64, u64),
+    /// How many times [`System::run_due_events`] has run, so a steady
+    /// epoch can tell whether any deadline fell inside it.
+    pub(crate) events_run: u64,
     /// Boot-time-reserved hugetlbfs pool (paper §2.3's explicit huge
     /// pages): guaranteed huge frames, immune to later fragmentation.
     pub(crate) hugetlb_pool: Vec<FrameRange>,
@@ -232,6 +235,7 @@ impl System {
             replaying: false,
             replayed_accesses: 0,
             steady_epochs: (0, 0),
+            events_run: 0,
             hugetlb_pool: Vec::new(),
             deposits: HashMap::new(),
         };
@@ -500,6 +504,7 @@ impl System {
     #[doc(hidden)]
     #[cold]
     pub fn run_due_events(&mut self) {
+        self.events_run += 1;
         if self.telemetry_on {
             self.telemetry.set_clock(self.clock);
         }

@@ -3,11 +3,12 @@
 //! Every test drives one system that may replay and a twin whose attached
 //! `AccessTrace` forces every epoch through the simulator, through the
 //! same calls, and requires the same clock, counters, OS statistics,
-//! data-cache statistics and memo statistics. The guard tests then check
-//! that each condition that must force simulation does.
+//! data-cache statistics, memo statistics and sampled series. The guard
+//! tests then check that each condition that must force simulation does,
+//! and that a deadline past an epoch's end does not.
 
-use graphmem_os::{OsStats, SteadyEpoch, System, SystemSpec, ThpMode, VirtAddr};
-use graphmem_telemetry::{EventMask, TraceConfig, Tracer};
+use graphmem_os::{OsStats, SteadyEpoch, System, SystemSpec, ThpMode, UtilizationPolicy, VirtAddr};
+use graphmem_telemetry::{EventMask, MetricsSeries, TraceConfig, Tracer};
 use graphmem_vm::PerfCounters;
 
 /// Huge order of the rig: 64 KiB huge pages, so one leaf directory (one
@@ -19,6 +20,8 @@ const HUGE_ORDER: u8 = 4;
 /// time an epoch ends.
 const PAGES: u64 = 40;
 const STRIDE: u64 = 64 << 10;
+/// Loads per page of `a`, one 8-byte word apart: a probe, then cursor hits.
+const LOADS: u64 = 4;
 const EPOCHS: usize = 6;
 
 /// The rig's regions: `a` and `b` for the steady body, `c` for fresh pages.
@@ -33,37 +36,54 @@ impl Regions {
     /// The body's last address: re-reading it leaves every TLB, cache and
     /// the translation cursor exactly as the body left them.
     fn last(&self) -> VirtAddr {
-        self.a.add((PAGES - 1) * STRIDE)
+        self.a.add((PAGES - 1) * STRIDE + (LOADS - 1) * 8)
     }
 }
 
-/// The steady body: one load from `b`, then one per leaf directory of `a`.
-/// Its first run faults every page in.
+/// The steady body: one load from `b`, then `LOADS` from the first line of
+/// each leaf directory of `a`. Its first run faults every page in. An
+/// event between two loads of one page clears the translation cursor, so
+/// the next load probes instead of riding it and the epoch's memo
+/// statistics differ from an undisturbed one's.
 fn steady(sys: &mut System, at: Regions, _epoch: usize) {
     sys.read(at.b);
-    sys.access_run(at.a, STRIDE, PAGES, false);
+    for page in 0..PAGES {
+        sys.access_run(at.a.add(page * STRIDE), 8, LOADS, false);
+    }
 }
 
 fn no_setup(_: &mut System) {}
 
 fn no_gap(_: &mut System, _: Regions, _: usize) {}
 
-type Outcome = (u64, PerfCounters, OsStats, [(u64, u64); 3], (u64, u64));
+type Outcome = (
+    u64,
+    PerfCounters,
+    OsStats,
+    [(u64, u64); 3],
+    (u64, u64),
+    Option<MetricsSeries>,
+);
 
-/// Boot a rig (THP `thp`, traced or not), apply `setup`, then run
-/// `EPOCHS` epochs of `body` with one record, calling `gap` before each.
-/// Returns the end state and the `(simulated, replayed)` counts after
-/// each epoch.
+/// The rig's machine: 64 MiB at huge order `HUGE_ORDER`, THP `thp`.
+fn rig(thp: ThpMode) -> SystemSpec {
+    let mut spec = SystemSpec::scaled_with_order(64, HUGE_ORDER);
+    spec.thp.mode = thp;
+    spec
+}
+
+/// Boot `spec` (traced or not), apply `setup`, then run `EPOCHS` epochs
+/// of `body` with one record, calling `gap` before each. Returns the end
+/// state and, after each epoch, the `(simulated, replayed)` counts and
+/// the clock.
 fn run(
-    thp: ThpMode,
+    spec: &SystemSpec,
     traced: bool,
     setup: &dyn Fn(&mut System),
     body: &dyn Fn(&mut System, Regions, usize),
     gap: &dyn Fn(&mut System, Regions, usize),
-) -> (Outcome, Vec<(u64, u64)>) {
-    let mut spec = SystemSpec::scaled_with_order(64, HUGE_ORDER);
-    spec.thp.mode = thp;
-    let mut sys = System::new(spec);
+) -> (Outcome, Vec<(u64, u64)>, Vec<u64>) {
+    let mut sys = System::new(spec.clone());
     let at = Regions {
         b: sys.mmap(4096, "b"),
         a: sys.mmap(PAGES * STRIDE, "a"),
@@ -75,10 +95,12 @@ fn run(
     setup(&mut sys);
     let mut record = SteadyEpoch::default();
     let mut stats = Vec::new();
+    let mut clocks = Vec::new();
     for k in 0..EPOCHS {
         gap(&mut sys, at, k);
         sys.steady_epoch(&mut record, |sys| body(sys, at, k));
         stats.push(sys.steady_epoch_stats());
+        clocks.push(sys.clock());
     }
     let outcome = (
         sys.clock(),
@@ -86,29 +108,35 @@ fn run(
         *sys.os_stats(),
         sys.cache_stats(),
         sys.memo_stats(),
+        sys.take_series(),
     );
-    (outcome, stats)
+    (outcome, stats, clocks)
 }
 
 /// Run the same calls on a system that may replay and on a traced twin;
 /// assert they end identically and return the first system's per-epoch
-/// `(simulated, replayed)` counts.
+/// `(simulated, replayed)` counts and its end state.
 fn against_traced_twin(
-    thp: ThpMode,
+    spec: &SystemSpec,
     setup: &dyn Fn(&mut System),
     body: &dyn Fn(&mut System, Regions, usize),
     gap: &dyn Fn(&mut System, Regions, usize),
-) -> Vec<(u64, u64)> {
-    let (plain, stats) = run(thp, false, setup, body, gap);
-    let (twin, twin_stats) = run(thp, true, setup, body, gap);
+) -> (Vec<(u64, u64)>, Outcome) {
+    let (plain, stats, _) = run(spec, false, setup, body, gap);
+    let (twin, twin_stats, _) = run(spec, true, setup, body, gap);
     assert_eq!(plain, twin);
     assert_eq!(twin_stats.last(), Some(&(EPOCHS as u64, 0)));
-    stats
+    (stats, plain)
+}
+
+/// The clock after each epoch of an undisturbed 4 KiB run of `steady`.
+fn undisturbed_clocks() -> Vec<u64> {
+    run(&rig(ThpMode::Never), false, &no_setup, &steady, &no_gap).2
 }
 
 #[test]
 fn steady_epochs_replay_once_the_state_repeats() {
-    let stats = against_traced_twin(ThpMode::Never, &no_setup, &steady, &no_gap);
+    let (stats, _) = against_traced_twin(&rig(ThpMode::Never), &no_setup, &steady, &no_gap);
     // Epoch 0 faults everything in and epoch 1 settles the caches' recency
     // order; epoch 2 starts from the steady state and confirms it ends
     // there; the rest replay.
@@ -121,18 +149,87 @@ fn an_epoch_that_faults_is_never_reused() {
         steady(sys, at, k);
         sys.read(at.c.add(k as u64 * 4096));
     };
-    let stats = against_traced_twin(ThpMode::Never, &no_setup, &fresh_page_each_epoch, &no_gap);
+    let (stats, _) = against_traced_twin(
+        &rig(ThpMode::Never),
+        &no_setup,
+        &fresh_page_each_epoch,
+        &no_gap,
+    );
     assert_eq!(stats.last(), Some(&(EPOCHS as u64, 0)));
 }
 
 #[test]
-fn a_scheduled_event_forces_simulation() {
-    // A sampler whose first epoch is never reached still schedules it.
+fn a_deadline_past_the_epochs_end_replays() {
+    // A sampler whose first epoch is never reached.
     let sample = |sys: &mut System| sys.enable_sampling(1 << 50);
-    let stats = against_traced_twin(ThpMode::Never, &sample, &steady, &no_gap);
-    assert_eq!(stats.last(), Some(&(EPOCHS as u64, 0)));
-    // System-wide THP schedules khugepaged.
-    let stats = against_traced_twin(ThpMode::Always, &no_setup, &steady, &no_gap);
+    let (stats, _) = against_traced_twin(&rig(ThpMode::Never), &sample, &steady, &no_gap);
+    assert_eq!(stats.last(), Some(&(3, EPOCHS as u64 - 3)));
+    // System-wide THP schedules khugepaged every 20 M cycles, long after
+    // the rig's last epoch. Huge pages settle the TLBs an epoch sooner.
+    let (stats, end) = against_traced_twin(&rig(ThpMode::Always), &no_setup, &steady, &no_gap);
+    assert_eq!(stats.last(), Some(&(2, EPOCHS as u64 - 2)));
+    assert_eq!(end.2.khugepaged_scans, 0);
+}
+
+/// An event fires at the first access whose clock reaches the horizon, so
+/// an epoch that would end exactly on a deadline runs the event on its
+/// last access and must be simulated.
+#[test]
+fn a_deadline_at_the_epochs_end_forces_simulation() {
+    // Undisturbed, epoch 3 is the first replay.
+    let end_of_epoch_3 = undisturbed_clocks()[3];
+    let sample = |sys: &mut System| sys.enable_sampling(end_of_epoch_3);
+    let (stats, end) = against_traced_twin(&rig(ThpMode::Never), &sample, &steady, &no_gap);
+    assert_eq!(stats[3], (4, 0));
+    let series = end.5.expect("sampling is on");
+    assert_eq!(series.samples()[0].cycle, end_of_epoch_3);
+}
+
+/// An event inside the epoch that would record the fixed point leaves no
+/// record: it cleared the translation cursor mid-epoch, so that epoch's
+/// memo statistics are not the steady ones. The next epoch records.
+#[test]
+fn an_event_inside_an_epoch_is_never_recorded() {
+    let clocks = undisturbed_clocks();
+    let mid_epoch_2 = clocks[1] + (clocks[2] - clocks[1]) / 2;
+    let sample = |sys: &mut System| sys.enable_sampling(mid_epoch_2);
+    let (stats, end) = against_traced_twin(&rig(ThpMode::Never), &sample, &steady, &no_gap);
+    assert_eq!(stats[2], (3, 0));
+    assert_eq!(stats.last(), Some(&(4, EPOCHS as u64 - 4)));
+    let first_sample = end.5.expect("sampling is on").samples()[0].cycle;
+    assert!((mid_epoch_2..clocks[2]).contains(&first_sample));
+}
+
+/// A khugepaged pass with nothing to promote still charges its scan and
+/// counts it, so the epoch it falls in simulates. The record's delta is a
+/// function of the start state alone, and the pass leaves that state as
+/// it found it, so the record survives and the next epoch, whose deadline
+/// is a full interval away, replays.
+#[test]
+fn an_inert_khugepaged_pass_keeps_the_record() {
+    // Epoch 2 is the first replay of a pass-free THP run.
+    let (_, free, clocks) = run(&rig(ThpMode::Always), false, &no_setup, &steady, &no_gap);
+    assert_eq!(free[2], (2, 1));
+    let mut spec = rig(ThpMode::Always);
+    spec.thp.khugepaged.scan_interval_cycles = clocks[1] + (clocks[2] - clocks[1]) / 2;
+    let (stats, end) = against_traced_twin(&spec, &no_setup, &steady, &no_gap);
+    assert_eq!(end.2.khugepaged_scans, 1);
+    assert_eq!(end.2.promotions, 0);
+    assert_eq!(stats[2], (3, 0));
+    assert_eq!(stats.last(), Some(&(3, EPOCHS as u64 - 3)));
+}
+
+/// kbloatd's accessed bitmaps are set per access, which a replay skips:
+/// utilization tracking observes the stream even before its first scan.
+#[test]
+fn utilization_tracking_forces_simulation() {
+    let mut spec = rig(ThpMode::Always);
+    spec.thp.utilization_demotion = Some(UtilizationPolicy {
+        threshold: 0.5,
+        scan_interval_cycles: 1 << 50,
+        reclaim_untouched: false,
+    });
+    let (stats, _) = against_traced_twin(&spec, &no_setup, &steady, &no_gap);
     assert_eq!(stats.last(), Some(&(EPOCHS as u64, 0)));
 }
 
@@ -144,7 +241,7 @@ fn an_observer_forces_simulation() {
         &|sys| sys.enable_attribution(true),
     ];
     for observe in observers {
-        let stats = against_traced_twin(ThpMode::Never, observe, &steady, &no_gap);
+        let (stats, _) = against_traced_twin(&rig(ThpMode::Never), observe, &steady, &no_gap);
         assert_eq!(stats.last(), Some(&(EPOCHS as u64, 0)));
     }
 }
@@ -165,7 +262,7 @@ fn a_page_table_change_between_epochs_forces_simulation() {
             sys.read(at.last());
         }
     };
-    let stats = against_traced_twin(ThpMode::Never, &no_setup, &steady, &unmap_b);
+    let (stats, _) = against_traced_twin(&rig(ThpMode::Never), &no_setup, &steady, &unmap_b);
     // Epoch 3 replays; epoch 4 faults `b` back in, and epoch 5 starts
     // from a page table the record has not seen; both simulate.
     assert_eq!(stats[UNMAP_AT - 1], (3, 1));

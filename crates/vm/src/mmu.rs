@@ -166,6 +166,12 @@ impl MemorySystem {
         self.utilization = if on { Some(HashMap::new()) } else { None };
     }
 
+    /// Whether per-huge-page utilization tracking is on: every huge-page
+    /// access then sets a bit, so the access stream is observed.
+    pub fn tracks_utilization(&self) -> bool {
+        self.utilization.is_some()
+    }
+
     /// Fraction of the huge page `hvpn`'s base pages that have been touched
     /// since tracking began (None if tracking is off or never touched).
     pub fn utilization_of(&self, hvpn: u64) -> Option<f64> {

@@ -207,26 +207,26 @@ fn pagerank_outcome(csr: &Csr, thp: bool, traced: bool) -> (PagerankOutcome, (u6
 /// on every dataset preset, at 4 KiB and under THP, a run that may
 /// replay steady iterations matches one whose attached `AccessTrace`
 /// forces each through the simulator. 4 KiB runs replay from the third
-/// iteration on (the first two establish and confirm the fixed point);
-/// THP runs have khugepaged deadlines scheduled and never replay.
+/// iteration on (the first two establish and confirm the fixed point).
+/// THP runs replay only an iteration that ends before khugepaged's next
+/// deadline: at oracle scale an iteration takes 11-21 M cycles against
+/// the 20 M scan interval, so only wiki has one.
 #[test]
 fn replayed_pagerank_iterations_match_simulated_ones() {
+    // `(simulated, replayed)` at 4 KiB and under THP, per preset.
+    let expected = |ds: Dataset| match ds {
+        Dataset::Wiki => [(2, 4), (5, 1)],
+        _ => [(2, 4), (6, 0)],
+    };
     for ds in Dataset::ALL {
         let csr = ds.generate_with_scale(oracle_scale(ds));
-        for thp in [false, true] {
-            let (plain, (simulated, replayed)) = pagerank_outcome(&csr, thp, false);
+        for (thp, counts) in [false, true].into_iter().zip(expected(ds)) {
+            let (plain, epochs) = pagerank_outcome(&csr, thp, false);
             let (traced, traced_epochs) = pagerank_outcome(&csr, thp, true);
             let cell = format!("{}/{}", ds.name(), if thp { "thp" } else { "4k" });
             assert_eq!(plain, traced, "{cell}");
-            assert_eq!(traced_epochs, (simulated + replayed, 0), "{cell}");
-            if thp {
-                assert_eq!(replayed, 0, "{cell}");
-            } else {
-                assert!(replayed >= 1, "{cell}: no iteration replayed");
-            }
-            if ds == Dataset::Kron25 && !thp {
-                assert_eq!((simulated, replayed), (2, 4), "{cell}");
-            }
+            assert_eq!(traced_epochs, (epochs.0 + epochs.1, 0), "{cell}");
+            assert_eq!(epochs, counts, "{cell}");
         }
     }
 }
