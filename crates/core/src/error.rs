@@ -1,7 +1,6 @@
 //! The error hierarchy for experiment orchestration.
 //!
-//! Every fallible path in the harness — graph IO, configuration
-//! validation, resource reservation, and the supervisor's own failure
+//! Every fallible path in the harness — IO, configuration validation, resource reservation, and the supervisor's own failure
 //! modes (worker panics, watchdog timeouts, manifest corruption,
 //! interruption) — funnels into [`GraphmemError`], so a sweep over N
 //! configs can report N typed outcomes instead of aborting on the first
@@ -11,20 +10,16 @@ use std::fmt;
 use std::io;
 use std::time::Duration;
 
-use graphmem_graph::GraphError;
-
 /// Any failure the experiment harness can report.
 #[derive(Debug)]
 pub enum GraphmemError {
-    /// An IO failure outside graph loading (manifest files, exports).
+    /// An IO failure (manifest files, exports).
     Io {
         /// What was being attempted, with the path where known.
         context: String,
         /// The underlying failure.
         source: io::Error,
     },
-    /// A graph file failed to load or save.
-    Graph(GraphError),
     /// An experiment configuration is invalid (bad scale, impossible
     /// policy combination, malformed flag value).
     InvalidConfig(String),
@@ -75,18 +70,13 @@ impl GraphmemError {
     /// deterministic, timeouts would only burn another full limit, and
     /// interruption is a request to stop.
     pub fn is_transient(&self) -> bool {
-        match self {
-            GraphmemError::Io { .. } => true,
-            GraphmemError::Graph(e) => e.is_transient(),
-            _ => false,
-        }
+        matches!(self, GraphmemError::Io { .. })
     }
 
     /// Stable snake_case tag used in failure records and JSON output.
     pub fn code(&self) -> &'static str {
         match self {
             GraphmemError::Io { .. } => "io",
-            GraphmemError::Graph(_) => "graph_io",
             GraphmemError::InvalidConfig(_) => "invalid_config",
             GraphmemError::Resource(_) => "resource",
             GraphmemError::Panic(_) => "panic",
@@ -102,7 +92,6 @@ impl fmt::Display for GraphmemError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphmemError::Io { context, source } => write!(f, "{context}: {source}"),
-            GraphmemError::Graph(e) => write!(f, "{e}"),
             GraphmemError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             GraphmemError::Resource(msg) => write!(f, "resource exhausted: {msg}"),
             GraphmemError::Panic(msg) => write!(f, "experiment panicked: {msg}"),
@@ -126,15 +115,8 @@ impl std::error::Error for GraphmemError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GraphmemError::Io { source, .. } => Some(source),
-            GraphmemError::Graph(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<GraphError> for GraphmemError {
-    fn from(e: GraphError) -> GraphmemError {
-        GraphmemError::Graph(e)
     }
 }
 
@@ -150,11 +132,6 @@ mod tests {
         assert!(!GraphmemError::Timeout { limit }.is_transient());
         assert!(!GraphmemError::InvalidConfig("bad".into()).is_transient());
         assert!(!GraphmemError::Interrupted.is_transient());
-        // Graph transience delegates to the IO kind underneath.
-        let t = GraphError::new("read", io::Error::new(io::ErrorKind::TimedOut, "t"));
-        assert!(GraphmemError::from(t).is_transient());
-        let p = GraphError::new("read", io::Error::new(io::ErrorKind::NotFound, "n"));
-        assert!(!GraphmemError::from(p).is_transient());
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! * [`reorder`] — Degree-Based Grouping (Faldu et al., the preprocessing
 //!   step of paper §5.1.2) plus full degree sorting and random permutation
 //!   for ablation.
-//! * [`io`] — a simple binary on-disk format so examples can exercise the
-//!   load-from-file path (whose page-cache interference §4.3 studies).
 //!
 //! Everything is deterministic given a seed.
 //!
@@ -36,14 +34,11 @@
 
 mod csr;
 mod dataset;
-pub mod error;
 mod generate;
-pub mod io;
 pub mod reorder;
 
 pub use csr::{Csr, CsrBuilder};
 pub use dataset::Dataset;
-pub use error::GraphError;
 pub use generate::RmatConfig;
 
 /// Vertex identifier. Graphs are limited to `u32::MAX` vertices, which the

@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use graphmem_graph::{io, reorder, Csr, CsrBuilder, RmatConfig};
+use graphmem_graph::{reorder, Csr, CsrBuilder, RmatConfig};
 use proptest::prelude::*;
 
 /// Arbitrary small graphs from random edge lists (possibly weighted).
@@ -23,27 +23,6 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Binary serialization round-trips any graph exactly.
-    #[test]
-    fn binary_io_roundtrip(g in arb_graph()) {
-        let mut buf = Vec::new();
-        io::write_csr(&mut buf, &g).unwrap();
-        prop_assert_eq!(buf.len() as u64, io::serialized_bytes(&g));
-        let back = io::read_csr(&buf[..]).unwrap();
-        prop_assert_eq!(back, g);
-    }
-
-    /// Truncating a serialized graph anywhere never panics — it errors.
-    #[test]
-    fn binary_io_rejects_any_truncation(g in arb_graph(), cut in 0usize..100) {
-        let mut buf = Vec::new();
-        io::write_csr(&mut buf, &g).unwrap();
-        if buf.len() > 1 {
-            let cut = 1 + cut % (buf.len() - 1);
-            prop_assert!(io::read_csr(&buf[..cut]).is_err());
-        }
-    }
 
     /// Every reordering yields a valid graph with identical degree
     /// multiset and edge count, and permuting twice with inverse-composed
@@ -96,30 +75,5 @@ proptest! {
         prop_assert_eq!(&a, &b);
         a.validate();
         prop_assert!(a.num_edges() <= degree as u64 * a.num_vertices() as u64);
-    }
-
-    /// Edge-list text parsing round-trips through rendering.
-    #[test]
-    fn edge_list_roundtrip(g in arb_graph()) {
-        let mut text = String::new();
-        for v in 0..g.num_vertices() {
-            for (i, &u) in g.neighbors(v).iter().enumerate() {
-                match g.weights(v) {
-                    Some(ws) => text.push_str(&format!("{v} {u} {}\n", ws[i])),
-                    None => text.push_str(&format!("{v} {u}\n")),
-                }
-            }
-        }
-        if g.num_edges() == 0 {
-            return Ok(()); // vertex count is not recoverable from an empty list
-        }
-        let back = io::read_edge_list(text.as_bytes()).unwrap();
-        // Vertex count may shrink (trailing isolated vertices), but every
-        // edge and weight must survive with identical adjacency.
-        prop_assert_eq!(back.num_edges(), g.num_edges());
-        for v in 0..back.num_vertices().min(g.num_vertices()) {
-            prop_assert_eq!(back.neighbors(v), g.neighbors(v));
-            prop_assert_eq!(back.weights(v), g.weights(v));
-        }
     }
 }

@@ -1082,19 +1082,9 @@ impl System {
         self.geom
     }
 
-    /// The THP policy in effect.
-    pub fn thp_policy(&self) -> &ThpPolicy {
-        &self.thp
-    }
-
     /// The address space (VMA map).
     pub fn address_space(&self) -> &AddressSpace {
         &self.aspace
-    }
-
-    /// Swap device occupancy.
-    pub fn swap_device(&self) -> &SwapDevice {
-        &self.swap
     }
 
     /// Page cache occupancy.

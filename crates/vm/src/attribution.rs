@@ -84,11 +84,6 @@ impl RegionCounters {
         self.stlb_misses[0] + self.stlb_misses[1]
     }
 
-    /// Total walker PTE reads, both page sizes.
-    pub fn walk_pte_reads_total(&self) -> u64 {
-        self.walk_pte_reads[0] + self.walk_pte_reads[1]
-    }
-
     /// Total translation cycles including fault discovery — reconciles with
     /// [`PerfCounters::translation_cycles`](crate::PerfCounters).
     pub fn translation_cycles_total(&self) -> u64 {

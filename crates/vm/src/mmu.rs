@@ -73,14 +73,6 @@ pub struct TranslationMemo {
     entry: TlbEntry,
 }
 
-impl TranslationMemo {
-    /// Page size of the mapping this memo covers.
-    #[inline]
-    pub fn page_size(&self) -> PageSize {
-        self.entry.size
-    }
-}
-
 /// Outcome of one [`MemorySystem::charge_page_hits`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageRunCharge {
@@ -233,11 +225,6 @@ impl MemorySystem {
     /// Hardware counters accumulated so far.
     pub fn counters(&self) -> &PerfCounters {
         &self.counters
-    }
-
-    /// Reset counters (the caches and TLBs keep their contents).
-    pub fn reset_counters(&mut self) {
-        self.counters = PerfCounters::new();
     }
 
     /// Perform one data access at `vaddr`.
