@@ -1,10 +1,10 @@
 //! The error hierarchy for experiment orchestration.
 //!
-//! Every fallible path in the harness — IO, configuration validation, resource reservation, and the supervisor's own failure
-//! modes (worker panics, watchdog timeouts, manifest corruption,
-//! interruption) — funnels into [`GraphmemError`], so a sweep over N
-//! configs can report N typed outcomes instead of aborting on the first
-//! problem.
+//! Every fallible path in the harness — IO, configuration validation,
+//! resource reservation, and the supervisor's own failure modes (worker
+//! panics, watchdog timeouts, manifest corruption, interruption) — funnels
+//! into [`GraphmemError`], so a sweep over N configs can report N typed
+//! outcomes instead of aborting on the first problem.
 
 use std::fmt;
 use std::io;
