@@ -61,7 +61,11 @@ impl System {
         for (va, _leaf) in huge {
             self.charge(self.cost.compact_scan_block); // scan cost per region
             let hvpn = self.geom.page_number(va, PageSize::Huge);
-            let util = self.mmu.utilization_of(hvpn).unwrap_or(0.0);
+            // A page with no sample yet (promoted, not touched since) has
+            // told the daemon nothing: leave it until an access samples it.
+            let Some(util) = self.mmu.utilization_of(hvpn) else {
+                continue;
+            };
             if util < policy.threshold {
                 let touched = self.demote_huge(va, DemotionReason::Utilization);
                 self.requeue_split(va, &touched, policy.reclaim_untouched);
@@ -227,6 +231,31 @@ mod tests {
         );
     }
 
+    /// A page khugepaged has just promoted has no utilization sample yet:
+    /// kbloatd must not read that as "nothing used" and split it again.
+    #[test]
+    fn kbloatd_keeps_a_freshly_promoted_page() {
+        let mut spec = SystemSpec::scaled_with_order(16, 4);
+        spec.thp.mode = ThpMode::Always;
+        spec.thp.utilization_demotion = Some(UtilizationPolicy {
+            threshold: 0.5,
+            scan_interval_cycles: u64::MAX,
+            reclaim_untouched: true,
+        });
+        let mut sys = System::new(spec);
+        let huge = sys.geometry().bytes(PageSize::Huge);
+        let a = sys.mmap(huge, "a");
+        sys.thp.fault_huge = false;
+        sys.populate(a, huge);
+        sys.thp.fault_huge = true;
+        sys.run_khugepaged_now();
+        assert_eq!(sys.mapping_report(a).huge_pages, 1);
+        sys.run_kbloatd_now();
+        assert_eq!(sys.mapping_report(a).huge_pages, 1, "promoted page split");
+        assert_eq!(sys.os_stats().util_demotions, 0);
+        assert_eq!(sys.os_stats().bloat_frames_reclaimed, 0);
+    }
+
     /// The deposit ledger: every live non-hugetlb huge leaf holds exactly
     /// one deposit of a leaf table's frames, every deposit belongs to a
     /// live huge leaf, and no frame sits in two deposits.
@@ -279,8 +308,6 @@ mod tests {
                     Step::Kbloatd => sys.run_kbloatd_now(),
                     Step::Governor => sys.run_governor_now(),
                     Step::Swap(n) => {
-                        // As on the fault path, whose reclaim this is.
-                        sys.clear_run_memo();
                         // As on the fault path, whose reclaim this is.
                         sys.clear_run_memo();
                         for _ in 0..n {

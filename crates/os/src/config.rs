@@ -57,6 +57,8 @@ impl Default for ThpPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationPolicy {
     /// Demote huge pages whose touched-base-page fraction is below this.
+    /// A page no access has sampled since it became huge (a fresh
+    /// promotion) is left alone.
     pub threshold: f64,
     /// Simulated cycles between scan passes.
     pub scan_interval_cycles: u64,
