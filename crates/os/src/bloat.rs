@@ -21,17 +21,23 @@ use graphmem_vm::{Leaf, PageSize, VirtAddr};
 use crate::system::System;
 
 impl System {
-    /// Run the utilization daemon if configured and due.
-    pub(crate) fn maybe_kbloatd(&mut self) {
+    /// Run the utilization daemon if configured and due. A replay
+    /// (`replay`) never runs it: its bitmaps are set per access, which a
+    /// replay skips. Returns whether it ran or was not due.
+    pub(crate) fn maybe_kbloatd(&mut self, replay: bool) -> bool {
         let Some(policy) = self.thp.utilization_demotion else {
-            return;
+            return true;
         };
         if self.clock < self.bloat_next_run {
-            return;
+            return true;
+        }
+        if replay {
+            return false;
         }
         self.bloat_next_run = self.clock + policy.scan_interval_cycles;
         self.kbloatd_scan();
         self.recompute_event_horizon();
+        true
     }
 
     /// Force one scan pass immediately (tests and experiments).

@@ -121,6 +121,16 @@ impl System {
             .map(|range| (range, true))
     }
 
+    /// Whether [`System::alloc_huge_frame`] would fail with nothing
+    /// moved: the buddy has no free huge block, and direct compaction, if
+    /// allowed, finds no candidate block to vacate. Such a failure
+    /// changes counters only (a failed allocation, a compaction pass).
+    pub(crate) fn huge_frame_unavailable(&self) -> bool {
+        let zone = &self.zones[self.local_node as usize];
+        !zone.has_free_huge_block()
+            && (!self.thp.fault_defrag || zone.candidate_compaction_regions().is_empty())
+    }
+
     /// Back `vaddr` with a single base page.
     pub(crate) fn base_fault(&mut self, vaddr: VirtAddr, locked: bool) {
         let frame = self.alloc_user_frame(locked);

@@ -189,10 +189,29 @@ graphmem_telemetry::counters! {
 pub(crate) struct GovernorState {
     pub(crate) config: GovernorConfig,
     pub(crate) next_run: u64,
-    /// Per-region counters at the end of the previous epoch; the epoch's
-    /// signal is the delta against these.
-    baseline: Vec<RegionCounters>,
+    /// Per-region signals at the end of the previous epoch; the epoch's
+    /// input is the change since these.
+    pub(crate) baseline: Vec<Signal>,
     pub(crate) series: Vec<GovernorEpochSample>,
+}
+
+/// What the governor reads of one region's attribution counters:
+/// accesses and steady-state translation cycles. Fault discovery is a
+/// one-time cost that would misclassify freshly touched regions as hot,
+/// so it is left out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Signal {
+    pub(crate) accesses: u64,
+    pub(crate) cycles: u64,
+}
+
+impl Signal {
+    fn of(c: &RegionCounters) -> Self {
+        Signal {
+            accesses: c.accesses_total(),
+            cycles: c.translation_cycles[0] + c.translation_cycles[1],
+        }
+    }
 }
 
 /// A promotion/demotion candidate: region id plus its measured
@@ -200,6 +219,12 @@ pub(crate) struct GovernorState {
 struct Candidate {
     id: usize,
     cost: f64,
+}
+
+/// One epoch's classification, before anything is applied.
+pub(crate) struct GovernorPlan {
+    hot: Vec<Candidate>,
+    cold: Vec<Candidate>,
 }
 
 impl System {
@@ -247,29 +272,106 @@ impl System {
     }
 
     /// Run the governor if enabled and due (called from the access path;
-    /// like khugepaged, the daemon steals application cycles).
-    pub(crate) fn maybe_governor(&mut self) {
-        let Some(g) = &self.gov else { return };
+    /// like khugepaged, the daemon steals application cycles). In a
+    /// replay (`replay` holds the region signals at the access the
+    /// deadline falls after) the epoch runs only if it is inert; returns
+    /// whether it ran or was not due.
+    pub(crate) fn maybe_governor(&mut self, replay: Option<&[Signal]>) -> bool {
+        let Some(g) = &self.gov else { return true };
         if self.clock < g.next_run {
-            return;
+            return true;
         }
-        self.governor_epoch();
+        let signals = replay.map_or_else(|| self.region_signals(), <[Signal]>::to_vec);
+        let plan = self.governor_plan(&signals);
+        if !self.governor_inert(&plan) {
+            if replay.is_some() {
+                return false;
+            }
+            self.passes_acted += 1;
+        }
+        self.governor_epoch(signals, plan);
         self.recompute_event_horizon();
+        true
     }
 
     /// Force one control epoch immediately (tests and experiments).
     pub fn run_governor_now(&mut self) {
         if self.gov.is_some() {
-            self.governor_epoch();
+            let signals = self.region_signals();
+            let plan = self.governor_plan(&signals);
+            self.governor_epoch(signals, plan);
             self.recompute_event_horizon();
         }
     }
 
-    /// One control epoch: classify regions by measured translation cost,
-    /// promote the hot ones, and — when promotions were denied for lack
-    /// of contiguity — demote cold huge mappings so compaction can
-    /// rebuild huge blocks for the next epoch.
-    fn governor_epoch(&mut self) {
+    /// The governor's input now: each region's signal, by region id.
+    pub(crate) fn region_signals(&self) -> Vec<Signal> {
+        self.mmu
+            .attribution_regions()
+            .map_or_else(Vec::new, |r| r.iter().map(Signal::of).collect())
+    }
+
+    /// Classify regions by translation cost per access since the last
+    /// epoch, given each region's current signal: hot ones to promote,
+    /// cold ones to sacrifice if promotions are denied. Reads state only.
+    fn governor_plan(&self, signals: &[Signal]) -> GovernorPlan {
+        let mut plan = GovernorPlan {
+            hot: Vec::new(),
+            cold: Vec::new(),
+        };
+        let Some(g) = &self.gov else { return plan };
+        let empty = Signal::default();
+        for id in 0..self.aspace.len() {
+            if self.aspace.get(VmaId(id)).hugetlb() {
+                continue; // explicit reservations are not governed
+            }
+            let cur = signals.get(id).unwrap_or(&empty);
+            let base = g.baseline.get(id).unwrap_or(&empty);
+            let accesses = cur.accesses - base.accesses;
+            let cost = if accesses == 0 {
+                0.0
+            } else {
+                (cur.cycles - base.cycles) as f64 / accesses as f64
+            };
+            if accesses > 0 && cost >= g.config.promote_cost {
+                plan.hot.push(Candidate { id, cost });
+            } else if cost < g.config.demote_cost {
+                plan.cold.push(Candidate { id, cost });
+            }
+        }
+        // Deterministic priority: hottest first (ties by region id), so
+        // the scarce contiguity goes to the region paying the most.
+        plan.hot
+            .sort_by(|a, b| b.cost.total_cmp(&a.cost).then(a.id.cmp(&b.id)));
+        plan.cold
+            .sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.id.cmp(&b.id)));
+        plan
+    }
+
+    /// Whether applying `plan` would change nothing but the governor's
+    /// own bookkeeping: every hot region is already advised, so its
+    /// `advise` is a no-op, and none has a chunk
+    /// [`System::promotable`] would let through. Nothing is then
+    /// promoted or denied, so nothing is demoted either.
+    fn governor_inert(&self, plan: &GovernorPlan) -> bool {
+        let huge_bytes = self.geom.bytes(PageSize::Huge);
+        plan.hot.iter().all(|c| {
+            let vma = self.aspace.get(VmaId(c.id));
+            let mut lo = vma.start();
+            let mut promotable = false;
+            while lo.add(huge_bytes) <= vma.end() {
+                promotable |= self.promotable(VmaId(c.id), lo);
+                lo = lo.add(huge_bytes);
+            }
+            vma.range_advised(vma.start(), vma.end()) && !promotable
+        })
+    }
+
+    /// One control epoch: charge the scan, promote the hot regions, and —
+    /// when promotions were denied for lack of contiguity — demote cold
+    /// huge mappings so compaction can rebuild huge blocks for the next
+    /// epoch. `signals` become the next epoch's baseline.
+    fn governor_epoch(&mut self, signals: Vec<Signal>, plan: GovernorPlan) {
         let Some(cfg) = self.gov.as_ref().map(|g| g.config) else {
             return;
         };
@@ -280,57 +382,15 @@ impl System {
         if let Some(g) = self.gov.as_mut() {
             g.next_run = self.clock + cfg.epoch_cycles;
         }
+        // Reading a region's counters costs a scan block, like
+        // khugepaged's per-region examination.
+        self.charge(self.cost.compact_scan_block * self.aspace.len() as u64);
 
-        // Epoch signal: per-region counter deltas since the last epoch.
-        let current: Vec<RegionCounters> = self
-            .mmu
-            .attribution_regions()
-            .map(<[RegionCounters]>::to_vec)
-            .unwrap_or_default();
-        let empty = RegionCounters::default();
-        let nregions = self.aspace.len();
-        let mut hot: Vec<Candidate> = Vec::new();
-        let mut cold: Vec<Candidate> = Vec::new();
-        for id in 0..nregions {
-            // Reading a region's counters costs a scan block, like
-            // khugepaged's per-region examination.
-            self.charge(self.cost.compact_scan_block);
-            let cur = current.get(id).unwrap_or(&empty);
-            let base = self
-                .gov
-                .as_ref()
-                .and_then(|g| g.baseline.get(id))
-                .unwrap_or(&empty);
-            let accesses = cur.accesses_total() - base.accesses_total();
-            // Steady-state translation cycles only: fault discovery is a
-            // one-time cost that would misclassify freshly-touched
-            // regions as hot.
-            let cycles = (cur.translation_cycles[0] + cur.translation_cycles[1])
-                - (base.translation_cycles[0] + base.translation_cycles[1]);
-            let cost = if accesses == 0 {
-                0.0
-            } else {
-                cycles as f64 / accesses as f64
-            };
-            if self.aspace.get(VmaId(id)).hugetlb() {
-                continue; // explicit reservations are not governed
-            }
-            if accesses > 0 && cost >= cfg.promote_cost {
-                hot.push(Candidate { id, cost });
-            } else if cost < cfg.demote_cost {
-                cold.push(Candidate { id, cost });
-            }
-        }
-        // Deterministic priority: hottest first (ties by region id), so
-        // the scarce contiguity goes to the region paying the most.
-        hot.sort_by(|a, b| b.cost.total_cmp(&a.cost).then(a.id.cmp(&b.id)));
-        cold.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.id.cmp(&b.id)));
-
-        let (promoted, denied) = self.governor_promote(&hot, cfg.max_actions);
+        let (promoted, denied) = self.governor_promote(&plan.hot, cfg.max_actions);
         // Contiguity scarcity observed: sacrifice cold huge mappings so
         // their (movable) frames can be compacted into huge blocks.
         let demoted = if denied > 0 {
-            self.governor_demote(&cold, cfg.max_actions)
+            self.governor_demote(&plan.cold, cfg.max_actions)
         } else {
             0
         };
@@ -339,7 +399,7 @@ impl System {
         let cycle = self.clock;
         let mut epoch = 0u32;
         if let Some(g) = self.gov.as_mut() {
-            g.baseline = current;
+            g.baseline = signals;
             g.series.push(GovernorEpochSample {
                 cycle,
                 promoted,
@@ -380,16 +440,13 @@ impl System {
                 if promoted >= budget {
                     break 'regions;
                 }
-                let (base, huge) = self.pt.count_mapped(lo, lo.add(huge_bytes));
-                if huge == 0 && base > 0 {
-                    match self.try_promote_region(id, lo) {
-                        PromoteOutcome::Promoted { .. } => promoted += 1,
-                        PromoteOutcome::NoContiguity => {
-                            denied += 1;
-                            break 'regions;
-                        }
-                        PromoteOutcome::Ineligible => {}
+                match self.try_promote_region(id, lo) {
+                    PromoteOutcome::Promoted { .. } => promoted += 1,
+                    PromoteOutcome::NoContiguity => {
+                        denied += 1;
+                        break 'regions;
                     }
+                    PromoteOutcome::Ineligible => {}
                 }
                 lo = lo.add(huge_bytes);
             }

@@ -29,41 +29,68 @@ pub(crate) enum PromoteOutcome {
     NoContiguity,
 }
 
+/// The regions one khugepaged pass examines, and where its cursor ends.
+/// The walk reads only the address space, so it is planned before any
+/// region is examined.
+pub(crate) struct ScanPlan {
+    windows: Vec<(VmaId, VirtAddr)>,
+    cursor: (usize, u64),
+}
+
 impl System {
     /// Run the daemon if its timer expired (called from the access path —
     /// in this single-core model the daemon steals application cycles,
     /// exactly the CPU-time cost the paper attributes to huge page
-    /// management).
-    pub(crate) fn maybe_khugepaged(&mut self) {
-        if self.thp.khugepaged.enabled
-            && self.thp.mode != ThpMode::Never
-            && self.clock >= self.kh.next_run
+    /// management). In a replay (`replay`) the pass runs only if it is
+    /// inert; returns whether it ran or was not due.
+    pub(crate) fn maybe_khugepaged(&mut self, replay: bool) -> bool {
+        if !self.thp.khugepaged.enabled
+            || self.thp.mode == ThpMode::Never
+            || self.clock < self.kh.next_run
         {
-            self.kh.next_run = self.clock + self.thp.khugepaged.scan_interval_cycles;
-            self.khugepaged_scan();
-            self.recompute_event_horizon();
+            return true;
         }
+        let plan = self.khugepaged_plan();
+        // Inert: no window is a candidate, or every candidate's huge frame
+        // is denied with nothing moved (the pass then changes counters
+        // only).
+        let inert = plan.as_ref().is_none_or(|p| {
+            !p.windows.iter().any(|&(id, lo)| self.promotable(id, lo))
+                || self.huge_frame_unavailable()
+        });
+        if !inert {
+            if replay {
+                return false;
+            }
+            self.passes_acted += 1;
+        }
+        self.kh.next_run = self.clock + self.thp.khugepaged.scan_interval_cycles;
+        self.khugepaged_scan(plan);
+        self.recompute_event_horizon();
+        true
     }
 
     /// Force one scan pass immediately (tests and experiments).
     pub fn run_khugepaged_now(&mut self) {
         // Promotions flush the TLBs the cursor relies on.
         self.clear_run_memo();
-        self.khugepaged_scan();
+        self.khugepaged_scan(self.khugepaged_plan());
     }
 
-    fn khugepaged_scan(&mut self) {
-        self.stats.khugepaged_scans += 1;
+    /// The next pass's scan windows, from the cursor on: up to
+    /// `REGIONS_PER_SCAN` huge-aligned regions that fit their VMA,
+    /// wrapping at the end of the address space. `None` when there is no
+    /// VMA to scan.
+    fn khugepaged_plan(&self) -> Option<ScanPlan> {
         let nvmas = self.aspace.len();
         if nvmas == 0 {
-            return;
+            return None;
         }
         let huge_bytes = self.geom.bytes(PageSize::Huge);
         let (mut vi, mut off) = self.kh.cursor;
-        let mut examined = 0;
-        let mut promoted = 0u32;
+        let mut windows = Vec::with_capacity(REGIONS_PER_SCAN);
         let mut hops = 0; // VMA switches; 2*nvmas bounds a full wrap
-        while examined < REGIONS_PER_SCAN && hops <= 2 * nvmas {
+        while windows.len() < REGIONS_PER_SCAN && hops <= 2 * nvmas {
             if vi >= nvmas {
                 vi = 0;
                 off = 0;
@@ -79,37 +106,54 @@ impl System {
                 continue;
             }
             off += huge_bytes;
-            examined += 1;
+            windows.push((VmaId(vi), lo));
+        }
+        Some(ScanPlan {
+            windows,
+            cursor: (vi, off),
+        })
+    }
+
+    fn khugepaged_scan(&mut self, plan: Option<ScanPlan>) {
+        self.stats.khugepaged_scans += 1;
+        let Some(plan) = plan else { return };
+        let mut promoted = 0u32;
+        for &(id, lo) in &plan.windows {
             self.charge(self.cost.compact_scan_block);
             if matches!(
-                self.try_promote_region(VmaId(vi), lo),
+                self.try_promote_region(id, lo),
                 PromoteOutcome::Promoted { .. }
             ) {
                 promoted += 1;
             }
         }
-        self.kh.cursor = (vi, off);
+        self.kh.cursor = plan.cursor;
         self.telemetry.emit(EventKind::KhugepagedScan {
-            regions_scanned: examined as u32,
+            regions_scanned: plan.windows.len() as u32,
             promoted,
         });
+    }
+
+    /// Whether `[lo, lo + huge)` of VMA `id` is a promotion candidate: the
+    /// THP mode allows it and every base page of it is present. Full
+    /// population is required (Linux's `max_ptes_none` = 0): the count
+    /// covers present leaves only, so a region with an empty or
+    /// swapped-out PTE, or already huge, is not a candidate. Reads state
+    /// only; a region that fails it is exactly one
+    /// [`System::try_promote_region`] leaves untouched.
+    pub(crate) fn promotable(&self, id: VmaId, lo: VirtAddr) -> bool {
+        let hi = lo.add(self.geom.bytes(PageSize::Huge));
+        self.thp_allows(id, lo, hi)
+            && self.pt.count_mapped(lo, hi) == (self.geom.frames(PageSize::Huge), 0)
     }
 
     /// Promote `[lo, lo + huge)` if the THP mode allows it, every base page
     /// of it is present, and a huge frame can be found.
     pub(crate) fn try_promote_region(&mut self, id: VmaId, lo: VirtAddr) -> PromoteOutcome {
-        let huge_bytes = self.geom.bytes(PageSize::Huge);
+        if !self.promotable(id, lo) {
+            return PromoteOutcome::Ineligible;
+        }
         let huge_frames = self.geom.frames(PageSize::Huge);
-        let hi = lo.add(huge_bytes);
-        if !self.thp_allows(id, lo, hi) {
-            return PromoteOutcome::Ineligible;
-        }
-        // Full population is required (Linux's `max_ptes_none` = 0): the
-        // count covers present leaves only, so a region with an empty or
-        // swapped-out PTE, or already huge, is not a candidate.
-        if self.pt.count_mapped(lo, hi) != (huge_frames, 0) {
-            return PromoteOutcome::Ineligible;
-        }
         // The destination huge frame (with bounded compaction, like
         // khugepaged's own use of the compactor).
         let Some((range, compacted)) = self.alloc_huge_frame(self.aspace.get(id).locked()) else {

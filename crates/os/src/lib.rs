@@ -47,6 +47,7 @@
 mod bloat;
 mod compact;
 mod config;
+mod costlog;
 mod fault;
 mod governor;
 mod khugepaged;

@@ -13,7 +13,8 @@ use graphmem_vm::{
 };
 
 use crate::config::{FilePlacement, OsCostModel, SystemSpec, ThpMode, ThpPolicy};
-use crate::governor::GovernorState;
+use crate::costlog::CostLog;
+use crate::governor::{GovernorState, Signal};
 use crate::pagecache::PageCache;
 use crate::stats::OsStats;
 use crate::swapdev::SwapDevice;
@@ -150,16 +151,23 @@ pub struct System {
     /// span 2 MB-class, which is where THP runs earn their keep.
     pub(crate) memo_lo: u64,
     pub(crate) memo_span: u64,
-    /// Whether a steady epoch is being replayed (see
-    /// [`System::steady_epoch`]): every access call returns at once,
-    /// counting its elements into `replayed_accesses`.
-    pub(crate) replaying: bool,
+    /// Whether every access call takes the cold steady-epoch path (see
+    /// [`System::steady_epoch`]): an epoch being logged runs its accesses
+    /// one by one through the pipeline into `cost_log`; a replayed one
+    /// (no log) returns at once, counting them into `replayed_accesses`.
+    pub(crate) divert: bool,
     pub(crate) replayed_accesses: u64,
+    pub(crate) cost_log: Option<Box<CostLog>>,
     /// Host-side `(simulated, replayed)` steady-epoch counts.
     pub(crate) steady_epochs: (u64, u64),
     /// How many times [`System::run_due_events`] has run, so a steady
     /// epoch can tell whether any deadline fell inside it.
     pub(crate) events_run: u64,
+    /// How many khugepaged and governor passes have acted: planned a
+    /// promotion attempt or an `advise`, anything beyond their scan
+    /// charge and bookkeeping. A steady epoch is recorded only if none
+    /// inside it did.
+    pub(crate) passes_acted: u64,
     /// Boot-time-reserved hugetlbfs pool (paper §2.3's explicit huge
     /// pages): guaranteed huge frames, immune to later fragmentation.
     pub(crate) hugetlb_pool: Vec<FrameRange>,
@@ -232,10 +240,12 @@ impl System {
             run_memo: None,
             memo_lo: u64::MAX,
             memo_span: 0,
-            replaying: false,
+            divert: false,
             replayed_accesses: 0,
+            cost_log: None,
             steady_epochs: (0, 0),
             events_run: 0,
+            passes_acted: 0,
             hugetlb_pool: Vec::new(),
             deposits: HashMap::new(),
         };
@@ -384,8 +394,8 @@ impl System {
     }
 
     fn access(&mut self, addr: VirtAddr, is_write: bool) {
-        if self.replaying {
-            self.replayed_accesses += 1;
+        if self.divert {
+            self.divert_accesses(1, &|_| (addr, is_write));
             return;
         }
         if let Some(t) = &mut self.tracer {
@@ -405,7 +415,7 @@ impl System {
     /// that created it, and pages never span VMAs, so re-tagging would be
     /// a no-op.
     #[inline]
-    fn access_cursor(&mut self, addr: VirtAddr, is_write: bool) {
+    pub(crate) fn access_cursor(&mut self, addr: VirtAddr, is_write: bool) {
         // The second clause keeps the budget subtraction positive: syscall
         // charges or populate's bulk cycles can push the clock past a
         // stale-low horizon without running events. Falling to the probe
@@ -436,7 +446,7 @@ impl System {
     /// Install (or clear) the persistent translation cursor, keeping the
     /// cached page extent in step.
     #[inline]
-    fn set_run_memo(&mut self, memo: Option<TranslationMemo>) {
+    pub(crate) fn set_run_memo(&mut self, memo: Option<TranslationMemo>) {
         self.run_memo = memo;
         match &memo {
             Some(m) => (self.memo_lo, self.memo_span) = self.mmu.memo_extent(m),
@@ -504,6 +514,16 @@ impl System {
     #[doc(hidden)]
     #[cold]
     pub fn run_due_events(&mut self) {
+        self.due_events(None);
+    }
+
+    /// [`System::run_due_events`], or in a replay (`replay` holds the
+    /// governor's region signals at the access the events fall after)
+    /// only as long as every due pass is inert. Returns `false` at the
+    /// first due pass that would act, before applying it, and when
+    /// kbloatd or the sampler falls due, since a replay skips what they
+    /// read; passes applied before it stay applied.
+    pub(crate) fn due_events(&mut self, replay: Option<&[Signal]>) -> bool {
         self.events_run += 1;
         if self.telemetry_on {
             self.telemetry.set_clock(self.clock);
@@ -511,11 +531,15 @@ impl System {
         // Daemons can promote, demote, migrate, and flush TLBs: the
         // translation cursor is no longer proof of residency.
         self.clear_run_memo();
-        self.maybe_khugepaged();
-        self.maybe_kbloatd();
-        self.maybe_governor();
-        self.maybe_sample();
+        let ran = self.maybe_khugepaged(replay.is_some())
+            && self.maybe_kbloatd(replay.is_some())
+            && self.maybe_governor(replay)
+            && !(replay.is_some() && self.sampler.as_ref().is_some_and(|s| s.due(self.clock)));
+        if ran {
+            self.maybe_sample();
+        }
         self.recompute_event_horizon();
+        ran
     }
 
     /// Recompute [`Self::next_event_cycle`] from the live daemon deadlines
@@ -552,8 +576,8 @@ impl System {
     /// would under scalar stepping, and the memo is discarded whenever
     /// events run (they may flush TLBs).
     pub fn access_run(&mut self, base: VirtAddr, stride: u64, count: u64, is_write: bool) {
-        if self.replaying {
-            self.replayed_accesses += count;
+        if self.divert {
+            self.divert_accesses(count, &|i| (base.add(i * stride), is_write));
             return;
         }
         if let Some(t) = &mut self.tracer {
@@ -639,8 +663,14 @@ impl System {
         indices: &[u32],
         is_write: bool,
     ) {
-        if self.replaying {
-            self.replayed_accesses += indices.len() as u64;
+        if self.divert {
+            let element = |i: u64| {
+                (
+                    base.add(u64::from(indices[i as usize]) * elem_bytes),
+                    is_write,
+                )
+            };
+            self.divert_accesses(indices.len() as u64, &element);
             return;
         }
         if let Some(t) = &mut self.tracer {
@@ -658,8 +688,15 @@ impl System {
     /// PageRank's push phase). The store always lands on the load's page,
     /// so it rides the cursor the load just refreshed.
     pub fn access_gather_rmw(&mut self, base: VirtAddr, elem_bytes: u64, indices: &[u32]) {
-        if self.replaying {
-            self.replayed_accesses += 2 * indices.len() as u64;
+        if self.divert {
+            // Each index's load, then its store.
+            let element = |i: u64| {
+                (
+                    base.add(u64::from(indices[(i / 2) as usize]) * elem_bytes),
+                    i % 2 == 1,
+                )
+            };
+            self.divert_accesses(2 * indices.len() as u64, &element);
             return;
         }
         if let Some(t) = &mut self.tracer {
@@ -687,7 +724,7 @@ impl System {
     /// telemetry stamps and epoch sampling in step — the same bookkeeping
     /// the access fault path does after charging fault cycles.
     pub(crate) fn advance_clock(&mut self, cycles: u64) {
-        debug_assert!(!self.replaying, "bulk cycles inside a replayed epoch");
+        debug_assert!(!self.divert, "bulk cycles inside a steady epoch");
         self.clock += cycles;
         if self.telemetry_on {
             self.telemetry.set_clock(self.clock);
@@ -700,7 +737,7 @@ impl System {
     /// of each page (models `memset`-style initialization without
     /// simulating every line).
     pub fn populate(&mut self, addr: VirtAddr, len: u64) {
-        debug_assert!(!self.replaying, "populate inside a replayed epoch");
+        debug_assert!(!self.divert, "populate inside a steady epoch");
         let lines_per_page = FRAME_SIZE / 64;
         let bulk = (lines_per_page - 1) * 4; // remaining lines hit L1
         let mut off = 0;
@@ -1097,7 +1134,10 @@ impl System {
     // ------------------------------------------------------------------
 
     pub(crate) fn charge(&mut self, cycles: u64) {
-        debug_assert!(!self.replaying, "kernel cycles inside a replayed epoch");
+        debug_assert!(
+            !self.divert || self.cost_log.is_some(),
+            "kernel cycles inside a replayed epoch"
+        );
         self.clock += cycles;
         self.stats.kernel_cycles += cycles;
         self.telemetry.set_clock(self.clock);

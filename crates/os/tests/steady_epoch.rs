@@ -3,11 +3,18 @@
 //! Every test drives one system that may replay and a twin whose attached
 //! `AccessTrace` forces every epoch through the simulator, through the
 //! same calls, and requires the same clock, counters, OS statistics,
-//! data-cache statistics, memo statistics and sampled series. The guard
-//! tests then check that each condition that must force simulation does,
-//! and that a deadline past an epoch's end does not.
+//! data-cache statistics, memo statistics, sampled series, governor
+//! series and attribution counters. The guard tests then check that each
+//! condition that must force simulation does, and that a deadline past
+//! an epoch's end, or an inert daemon pass inside it, does not.
 
-use graphmem_os::{OsStats, SteadyEpoch, System, SystemSpec, ThpMode, UtilizationPolicy, VirtAddr};
+use std::cell::RefCell;
+
+use graphmem_os::{
+    GovernorConfig, GovernorEpochSample, OsStats, RegionCounters, SteadyEpoch, System, SystemSpec,
+    ThpMode, UtilizationPolicy, VirtAddr,
+};
+use graphmem_physmem::Fragmenter;
 use graphmem_telemetry::{EventMask, MetricsSeries, TraceConfig, Tracer};
 use graphmem_vm::PerfCounters;
 
@@ -63,6 +70,8 @@ type Outcome = (
     [(u64, u64); 3],
     (u64, u64),
     Option<MetricsSeries>,
+    Option<Vec<GovernorEpochSample>>,
+    Option<Vec<RegionCounters>>,
 );
 
 /// The rig's machine: 64 MiB at huge order `HUGE_ORDER`, THP `thp`.
@@ -109,6 +118,8 @@ fn run(
         sys.cache_stats(),
         sys.memo_stats(),
         sys.take_series(),
+        sys.governor_series().map(<[_]>::to_vec),
+        sys.attribution_regions().map(<[_]>::to_vec),
     );
     (outcome, stats, clocks)
 }
@@ -129,9 +140,10 @@ fn against_traced_twin(
     (stats, plain)
 }
 
-/// The clock after each epoch of an undisturbed 4 KiB run of `steady`.
-fn undisturbed_clocks() -> Vec<u64> {
-    run(&rig(ThpMode::Never), false, &no_setup, &steady, &no_gap).2
+/// The clock after each epoch of an undisturbed run of `steady` under
+/// `thp`.
+fn undisturbed_clocks(thp: ThpMode) -> Vec<u64> {
+    run(&rig(thp), false, &no_setup, &steady, &no_gap).2
 }
 
 #[test]
@@ -177,7 +189,7 @@ fn a_deadline_past_the_epochs_end_replays() {
 #[test]
 fn a_deadline_at_the_epochs_end_forces_simulation() {
     // Undisturbed, epoch 3 is the first replay.
-    let end_of_epoch_3 = undisturbed_clocks()[3];
+    let end_of_epoch_3 = undisturbed_clocks(ThpMode::Never)[3];
     let sample = |sys: &mut System| sys.enable_sampling(end_of_epoch_3);
     let (stats, end) = against_traced_twin(&rig(ThpMode::Never), &sample, &steady, &no_gap);
     assert_eq!(stats[3], (4, 0));
@@ -185,38 +197,177 @@ fn a_deadline_at_the_epochs_end_forces_simulation() {
     assert_eq!(series.samples()[0].cycle, end_of_epoch_3);
 }
 
-/// An event inside the epoch that would record the fixed point leaves no
-/// record: it cleared the translation cursor mid-epoch, so that epoch's
-/// memo statistics are not the steady ones. The next epoch records.
+/// A sample inside the epoch that records the fixed point does not stop
+/// the recording: the sampler reads the counters at the access it falls
+/// after, which the record leaves alone. A replay cannot take that
+/// reading, so every later epoch a sample falls in simulates, and only
+/// those.
 #[test]
-fn an_event_inside_an_epoch_is_never_recorded() {
-    let clocks = undisturbed_clocks();
-    let mid_epoch_2 = clocks[1] + (clocks[2] - clocks[1]) / 2;
-    let sample = |sys: &mut System| sys.enable_sampling(mid_epoch_2);
-    let (stats, end) = against_traced_twin(&rig(ThpMode::Never), &sample, &steady, &no_gap);
+fn a_sample_inside_an_epoch_simulates_only_that_epoch() {
+    // Every one and a half epochs, so some later epochs hold a sample and
+    // some do not.
+    let undisturbed = undisturbed_clocks(ThpMode::Never);
+    let interval = (undisturbed[2] - undisturbed[1]) * 3 / 2;
+    let sample = |sys: &mut System| sys.enable_sampling(interval);
+    let spec = rig(ThpMode::Never);
+    let (plain, stats, clocks) = run(&spec, false, &sample, &steady, &no_gap);
+    let (twin, _, _) = run(&spec, true, &sample, &steady, &no_gap);
+    assert_eq!(plain, twin);
+    let series = plain.5.expect("sampling is on");
+    let samples = &series.samples()[..series.len() - 1]; // not the closing one
+    let sampled = |k: usize| {
+        samples
+            .iter()
+            .any(|s| (clocks[k - 1] + 1..=clocks[k]).contains(&s.cycle))
+    };
+    assert!(sampled(2));
     assert_eq!(stats[2], (3, 0));
-    assert_eq!(stats.last(), Some(&(4, EPOCHS as u64 - 4)));
-    let first_sample = end.5.expect("sampling is on").samples()[0].cycle;
-    assert!((mid_epoch_2..clocks[2]).contains(&first_sample));
+    let later: Vec<bool> = (3..EPOCHS).map(sampled).collect();
+    assert!(later.contains(&true) && later.contains(&false), "{later:?}");
+    for k in 3..EPOCHS {
+        assert_eq!(stats[k].0 > stats[k - 1].0, sampled(k), "epoch {k}");
+    }
 }
 
 /// A khugepaged pass with nothing to promote still charges its scan and
-/// counts it, so the epoch it falls in simulates. The record's delta is a
-/// function of the start state alone, and the pass leaves that state as
-/// it found it, so the record survives and the next epoch, whose deadline
-/// is a full interval away, replays.
+/// counts it. It changes no TLB, cache or page-table state, so the epoch
+/// it falls in replays: the record's delta leaves the pass out, and the
+/// replay runs the pass at the access it falls after.
 #[test]
 fn an_inert_khugepaged_pass_keeps_the_record() {
     // Epoch 2 is the first replay of a pass-free THP run.
     let (_, free, clocks) = run(&rig(ThpMode::Always), false, &no_setup, &steady, &no_gap);
     assert_eq!(free[2], (2, 1));
     let mut spec = rig(ThpMode::Always);
-    spec.thp.khugepaged.scan_interval_cycles = clocks[1] + (clocks[2] - clocks[1]) / 2;
+    spec.thp.khugepaged.scan_interval_cycles = clocks[2] + (clocks[3] - clocks[2]) / 2;
     let (stats, end) = against_traced_twin(&spec, &no_setup, &steady, &no_gap);
     assert_eq!(end.2.khugepaged_scans, 1);
     assert_eq!(end.2.promotions, 0);
-    assert_eq!(stats[2], (3, 0));
-    assert_eq!(stats.last(), Some(&(3, EPOCHS as u64 - 3)));
+    assert_eq!(stats[3], (2, 2), "epoch 3, with the pass inside, replayed");
+    assert_eq!(stats.last(), Some(&(2, EPOCHS as u64 - 2)));
+}
+
+/// A pass the walk puts on the epoch's last access leaves the cursor
+/// empty, as the simulated pass would: the next epoch starts from a state
+/// the record has not seen and simulates, and so does the one after,
+/// which starts from the record's state again only once.
+#[test]
+fn a_pass_on_an_epochs_last_access_leaves_the_cursor_empty() {
+    let end_of_epoch_3 = undisturbed_clocks(ThpMode::Always)[3];
+    let mut spec = rig(ThpMode::Always);
+    spec.thp.khugepaged.scan_interval_cycles = end_of_epoch_3;
+    let (stats, end) = against_traced_twin(&spec, &no_setup, &steady, &no_gap);
+    assert_eq!(end.2.khugepaged_scans, 1);
+    assert_eq!(stats[3], (2, 2), "the pass fell on epoch 3's last access");
+    assert_eq!(stats[4], (3, 2));
+    assert_eq!(stats[5], (4, 2));
+}
+
+/// Map `a` with base pages before epoch 0 (Madvise mode, nothing
+/// advised yet).
+fn populate_a(sys: &mut System) {
+    let a = sys
+        .address_space()
+        .iter()
+        .nth(1)
+        .expect("a is mapped")
+        .1
+        .start();
+    sys.populate(a, PAGES * STRIDE);
+}
+
+/// A pass that would promote cannot be replayed: the walk meets it, undoes
+/// the passes before it, and the epoch simulates, promotion and all.
+#[test]
+fn a_pass_that_would_promote_forces_simulation() {
+    // `a`, advised between epochs 2 and 3, becomes khugepaged's candidate.
+    let mut spec = rig(ThpMode::Madvise);
+    let (_, _, clocks) = run(&spec, false, &populate_a, &steady, &no_gap);
+    spec.thp.khugepaged.scan_interval_cycles = clocks[2] + (clocks[3] - clocks[2]) / 2;
+    let advise_a = |sys: &mut System, at: Regions, k: usize| {
+        if k == 3 {
+            sys.madvise_hugepage(at.a, PAGES * STRIDE);
+        }
+    };
+    let (stats, end) = against_traced_twin(&spec, &populate_a, &steady, &advise_a);
+    assert_eq!(end.2.khugepaged_scans, 1);
+    assert!(end.2.promotions > 0);
+    assert_eq!(stats[2], (2, 1));
+    assert_eq!(stats[3], (3, 1), "epoch 3's pass promotes");
+}
+
+/// A candidate the pass cannot get a huge frame for, with no compaction
+/// allowed, fails before any memory moves: the pass changes counters
+/// only, so it is inert and the epochs it falls in replay.
+#[test]
+fn a_pass_denied_a_huge_frame_is_inert() {
+    let mut spec = rig(ThpMode::Madvise);
+    spec.thp.fault_defrag = false;
+    let (_, _, clocks) = run(&spec, false, &populate_a, &steady, &no_gap);
+    // A pass every epoch and a half, so most epochs hold one.
+    spec.thp.khugepaged.scan_interval_cycles = (clocks[2] - clocks[1]) * 3 / 2;
+    let advised_and_fragmented = |sys: &mut System| {
+        populate_a(sys);
+        let a = sys
+            .address_space()
+            .iter()
+            .nth(1)
+            .expect("a is mapped")
+            .1
+            .start();
+        sys.madvise_hugepage(a, PAGES * STRIDE);
+        let node = sys.local_node();
+        let _pins = Fragmenter::apply(sys.zone_mut(node), 1.0);
+        assert_eq!(sys.zone(node).free_huge_blocks(), 0);
+    };
+    // Passes so far, before each epoch of the first (plain) run.
+    let scans = RefCell::new(Vec::new());
+    let count_scans = |sys: &mut System, _: Regions, _: usize| {
+        scans.borrow_mut().push(sys.os_stats().khugepaged_scans);
+    };
+    let (stats, end) = against_traced_twin(&spec, &advised_and_fragmented, &steady, &count_scans);
+    assert_eq!(end.2.promotions, 0);
+    let mut scans = scans.into_inner();
+    scans.truncate(EPOCHS);
+    scans.push(end.2.khugepaged_scans);
+    let replayed_with_a_pass = (1..EPOCHS)
+        .filter(|&k| stats[k].1 > stats[k - 1].1 && scans[k + 1] > scans[k])
+        .count();
+    assert!(replayed_with_a_pass >= 2, "{stats:?} {scans:?}");
+}
+
+/// A governor epoch falls inside every epoch of the body. Once the
+/// governor has advised the regions it finds hot, its epochs are inert
+/// and replay: each charges its scan, takes its baseline from the region
+/// counters the log predicts at its access, and appends its sample,
+/// exactly as the traced twin's simulated epochs do.
+#[test]
+fn inert_governor_epochs_inside_an_epoch_replay() {
+    let undisturbed = undisturbed_clocks(ThpMode::Always);
+    let governor = |sys: &mut System| {
+        sys.enable_governor(GovernorConfig {
+            epoch_cycles: undisturbed[2] - undisturbed[1],
+            promote_cost: 0.5,
+            demote_cost: 0.1,
+            max_actions: 4,
+        });
+    };
+    let spec = rig(ThpMode::Always);
+    let (plain, stats, clocks) = run(&spec, false, &governor, &steady, &no_gap);
+    let (twin, _, _) = run(&spec, true, &governor, &steady, &no_gap);
+    assert_eq!(plain, twin);
+    assert_eq!(stats.last(), Some(&(2, EPOCHS as u64 - 2)));
+    let series = plain.6.expect("the governor is on");
+    for k in 2..EPOCHS {
+        let inside = series
+            .iter()
+            .filter(|s| (clocks[k - 1] + 1..=clocks[k]).contains(&s.cycle))
+            .count();
+        assert!(inside > 0, "no governor epoch inside epoch {k}");
+    }
+    let regions = plain.7.expect("the governor turns attribution on");
+    let accesses: u64 = regions.iter().map(RegionCounters::accesses_total).sum();
+    assert_eq!(accesses, plain.1.accesses);
 }
 
 /// kbloatd's accessed bitmaps are set per access, which a replay skips:
@@ -235,15 +386,25 @@ fn utilization_tracking_forces_simulation() {
 
 #[test]
 fn an_observer_forces_simulation() {
-    let observers: [&dyn Fn(&mut System); 3] = [
-        &|sys| sys.start_tracing(),
-        &|sys| sys.attach_telemetry(Tracer::enabled(TraceConfig::default().mask(EventMask::ALL))),
-        &|sys| sys.enable_attribution(true),
-    ];
+    let observers: [&dyn Fn(&mut System); 2] = [&|sys| sys.start_tracing(), &|sys| {
+        sys.attach_telemetry(Tracer::enabled(TraceConfig::default().mask(EventMask::ALL)))
+    }];
     for observe in observers {
         let (stats, _) = against_traced_twin(&rig(ThpMode::Never), observe, &steady, &no_gap);
         assert_eq!(stats.last(), Some(&(EPOCHS as u64, 0)));
     }
+}
+
+/// Attribution is not an observer: the record holds each region's
+/// counters, and a replay adds them.
+#[test]
+fn attribution_replays_with_its_region_counters() {
+    let attribute = |sys: &mut System| sys.enable_attribution(true);
+    let (stats, end) = against_traced_twin(&rig(ThpMode::Never), &attribute, &steady, &no_gap);
+    assert_eq!(stats.last(), Some(&(3, EPOCHS as u64 - 3)));
+    let regions = end.7.expect("attribution is on");
+    let accesses: u64 = regions.iter().map(RegionCounters::accesses_total).sum();
+    assert_eq!(accesses, end.1.accesses);
 }
 
 /// Unmapping `b` between epochs changes nothing the way snapshot or the

@@ -25,6 +25,7 @@
 //!
 //! [`PerfCounters`]: crate::PerfCounters
 
+use graphmem_telemetry::counters::Cumulative;
 use graphmem_telemetry::Histogram;
 
 use crate::addr::PageSize;
@@ -139,6 +140,18 @@ impl AttributionTable {
     /// All per-region counters, indexed by region id.
     pub(crate) fn regions(&self) -> &[RegionCounters] {
         &self.regions
+    }
+
+    /// Add per-region changes, indexed by region id, growing the table on
+    /// demand. The cursor stays where it is.
+    pub(crate) fn add(&mut self, deltas: &[RegionCounters]) {
+        if deltas.len() > self.regions.len() {
+            self.regions
+                .resize_with(deltas.len(), RegionCounters::default);
+        }
+        for (r, d) in self.regions.iter_mut().zip(deltas) {
+            Cumulative::accumulate(r, d);
+        }
     }
 }
 

@@ -761,12 +761,21 @@ impl MemorySystem {
     }
 
     /// Add the counters of accesses that were accounted without being
-    /// simulated (a replayed epoch): hardware counters and per-level
-    /// data-cache `(hits, misses)`, L1 → L3. TLB and cache contents are
-    /// left as they are.
-    pub fn add_unsimulated(&mut self, perf: &PerfCounters, cache: &[(u64, u64); 3]) {
+    /// simulated (a replayed epoch): hardware counters, per-level
+    /// data-cache `(hits, misses)`, L1 → L3, and, when attribution is on,
+    /// each region's counters (indexed by region id). TLB and cache
+    /// contents and the attribution cursor are left as they are.
+    pub fn add_unsimulated(
+        &mut self,
+        perf: &PerfCounters,
+        cache: &[(u64, u64); 3],
+        regions: &[RegionCounters],
+    ) {
         self.counters.accumulate(perf);
         self.caches.add_level_stats(cache);
+        if let Some(attr) = &mut self.attribution {
+            attr.add(regions);
+        }
     }
 }
 

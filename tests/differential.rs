@@ -11,10 +11,12 @@
 //! recorded in `golden/oracle_digests.txt` while a second, element-at-a-time
 //! pipeline still checked them field by field.
 
-use graphmem_core::{Experiment, PagePolicy, RunReport};
+use graphmem_core::{Experiment, GovernorConfig, MemoryCondition, PagePolicy, RunReport, Surplus};
 use graphmem_graph::{Csr, Dataset};
 use graphmem_integration_tests::{assert_fixture_section, debug_digest, fnv1a};
-use graphmem_os::{OsStats, System, SystemSpec, ThpMode, VirtAddr};
+use graphmem_os::{
+    GovernorEpochSample, OsStats, RegionCounters, System, SystemSpec, ThpMode, VirtAddr,
+};
 use graphmem_telemetry::{EventKind, EventMask, TraceConfig, Tracer};
 use graphmem_vm::PerfCounters;
 use graphmem_workloads::{AllocOrder, ArrayProfile, GraphArrays, Kernel};
@@ -164,20 +166,43 @@ struct PagerankOutcome {
     memo: (u64, u64),
     profiles: Vec<ArrayProfile>,
     pages: Vec<Option<Vec<u64>>>,
+    governor: Option<Vec<GovernorEpochSample>>,
+    regions: Option<Vec<RegionCounters>>,
+}
+
+/// The page-size setups PageRank replays under.
+#[derive(Debug, Clone, Copy)]
+enum Setup {
+    /// 4 KiB pages only.
+    Base,
+    /// System-wide THP.
+    Thp,
+    /// System-wide THP with the governor (2 M-cycle epochs, so
+    /// attribution is on) at fragmentation 0.6, with free memory for
+    /// twice the working set: the governor advises its hot regions in
+    /// its first epochs, and every later epoch is inert.
+    Governed,
 }
 
 /// PageRank on `ds` at oracle scale, sized like `Experiment::try_run`
-/// sizes its node, at huge order 4 with THP off or system-wide. `traced`
-/// attaches an `AccessTrace`, which forces every iteration through the
-/// simulator. Also returns the steady-epoch `(simulated, replayed)` counts.
-fn pagerank_outcome(csr: &Csr, thp: bool, traced: bool) -> (PagerankOutcome, (u64, u64)) {
+/// sizes its node, at huge order 4 under `setup`. `traced` attaches an
+/// `AccessTrace`, which forces every iteration through the simulator.
+/// Also returns the steady-epoch `(simulated, replayed)` counts.
+fn pagerank_outcome(csr: &Csr, setup: Setup, traced: bool) -> (PagerankOutcome, (u64, u64)) {
     let (vertex_bytes, edge_bytes, _) = csr.array_bytes();
     let wss = vertex_bytes + edge_bytes + 2 * u64::from(csr.num_vertices()) * 8;
     let mut spec = SystemSpec::scaled_with_order((wss * 3 / (1 << 20) + 64).max(64), 4);
-    if thp {
+    if !matches!(setup, Setup::Base) {
         spec.thp.mode = ThpMode::Always;
     }
     let mut sys = System::new(spec);
+    let _pressure = matches!(setup, Setup::Governed).then(|| {
+        sys.enable_governor(GovernorConfig {
+            epoch_cycles: 2_000_000,
+            ..GovernorConfig::default()
+        });
+        MemoryCondition::from_knobs(Some(Surplus::FractionOfWss(1.0)), 0.6).apply(&mut sys, wss)
+    });
     let mut arrays = GraphArrays::map(&mut sys, csr, Kernel::Pagerank);
     arrays.initialize(&mut sys, AllocOrder::Natural);
     for p in &arrays.prop {
@@ -199,34 +224,39 @@ fn pagerank_outcome(csr: &Csr, thp: bool, traced: bool) -> (PagerankOutcome, (u6
         memo: sys.memo_stats(),
         profiles: arrays.profile().arrays().to_vec(),
         pages: arrays.prop.iter().map(|p| p.page_profile()).collect(),
+        governor: sys.governor_series().map(<[_]>::to_vec),
+        regions: sys.attribution_regions().map(<[_]>::to_vec),
     };
     (outcome, sys.steady_epoch_stats())
 }
 
 /// Replayed PageRank iterations leave exactly what simulated ones leave:
-/// on every dataset preset, at 4 KiB and under THP, a run that may
-/// replay steady iterations matches one whose attached `AccessTrace`
-/// forces each through the simulator. 4 KiB runs replay from the third
-/// iteration on (the first two establish and confirm the fixed point).
-/// THP runs replay only an iteration that ends before khugepaged's next
-/// deadline: at oracle scale an iteration takes 11-21 M cycles against
-/// the 20 M scan interval, so only wiki has one.
+/// on every dataset preset, at 4 KiB, under THP and governed THP, a run
+/// that may replay steady iterations matches one whose attached
+/// `AccessTrace` forces each through the simulator, governor series and
+/// attribution counters included. Every setup simulates 2 of the 6
+/// iterations (the first two establish and confirm the fixed point) and
+/// replays the rest, through every khugepaged pass and governor epoch
+/// that falls inside them: at oracle scale an iteration takes 11-21 M
+/// cycles, against khugepaged's 20 M and the governor's 2 M.
 #[test]
 fn replayed_pagerank_iterations_match_simulated_ones() {
-    // `(simulated, replayed)` at 4 KiB and under THP, per preset.
-    let expected = |ds: Dataset| match ds {
-        Dataset::Wiki => [(2, 4), (5, 1)],
-        _ => [(2, 4), (6, 0)],
-    };
     for ds in Dataset::ALL {
         let csr = ds.generate_with_scale(oracle_scale(ds));
-        for (thp, counts) in [false, true].into_iter().zip(expected(ds)) {
-            let (plain, epochs) = pagerank_outcome(&csr, thp, false);
-            let (traced, traced_epochs) = pagerank_outcome(&csr, thp, true);
-            let cell = format!("{}/{}", ds.name(), if thp { "thp" } else { "4k" });
+        for setup in [Setup::Base, Setup::Thp, Setup::Governed] {
+            let (plain, epochs) = pagerank_outcome(&csr, setup, false);
+            let (traced, traced_epochs) = pagerank_outcome(&csr, setup, true);
+            let cell = format!("{}/{setup:?}", ds.name());
             assert_eq!(plain, traced, "{cell}");
             assert_eq!(traced_epochs, (epochs.0 + epochs.1, 0), "{cell}");
-            assert_eq!(epochs, counts, "{cell}");
+            assert_eq!(epochs, (2, 4), "{cell}");
+            if let Some(series) = &plain.governor {
+                assert!(
+                    series.len() > 20,
+                    "{cell}: {} governor epochs",
+                    series.len()
+                );
+            }
         }
     }
 }
