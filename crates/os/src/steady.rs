@@ -52,8 +52,10 @@ use crate::system::System;
 /// recorded state but must simulate (a pass inside it would act) keeps
 /// the record for the epochs after it.
 ///
-/// An epoch simulated with a deadline ahead (a finite event horizon) also
-/// logs each access's cost, run-length coded, plus one bit per access for
+/// An epoch simulated while the next deadline lies within two epochs as
+/// long as the loop's last simulated one, and no record has a log yet,
+/// also logs each access's cost, run-length coded, plus one bit per
+/// access for
 /// whether it hit the translation cursor or would have, and, with
 /// attribution on, each cursor miss's region and translation cycles. A
 /// replay with deadlines inside walks that log with the access path's
@@ -89,7 +91,7 @@ struct EpochDelta {
     /// Each region's attribution counters, by region id, when attribution
     /// was on.
     regions: Option<Vec<RegionCounters>>,
-    /// The access-by-access log, when the epoch had a deadline ahead.
+    /// The access-by-access log, when the epoch was logged.
     log: Option<CostLog>,
 }
 
