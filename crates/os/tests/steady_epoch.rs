@@ -296,44 +296,55 @@ fn a_pass_that_would_promote_forces_simulation() {
     assert_eq!(stats[3], (3, 1), "epoch 3's pass promotes");
 }
 
-/// A candidate the pass cannot get a huge frame for, with no compaction
-/// allowed, fails before any memory moves: the pass changes counters
-/// only, so it is inert and the epochs it falls in replay.
+/// A candidate the pass cannot get a huge frame for fails before any
+/// memory moves when the buddy has no free huge block and compaction is
+/// off, or finds no block to vacate (the zone is fragmented before `a`
+/// is populated, so every block holding a user frame also holds a kernel
+/// one): the pass changes counters only, so it is inert and the epochs
+/// it falls in replay.
 #[test]
 fn a_pass_denied_a_huge_frame_is_inert() {
-    let mut spec = rig(ThpMode::Madvise);
-    spec.thp.fault_defrag = false;
-    let (_, _, clocks) = run(&spec, false, &populate_a, &steady, &no_gap);
-    // A pass every epoch and a half, so most epochs hold one.
-    spec.thp.khugepaged.scan_interval_cycles = (clocks[2] - clocks[1]) * 3 / 2;
-    let advised_and_fragmented = |sys: &mut System| {
-        populate_a(sys);
-        let a = sys
-            .address_space()
-            .iter()
-            .nth(1)
-            .expect("a is mapped")
-            .1
-            .start();
-        sys.madvise_hugepage(a, PAGES * STRIDE);
-        let node = sys.local_node();
-        let _pins = Fragmenter::apply(sys.zone_mut(node), 1.0);
-        assert_eq!(sys.zone(node).free_huge_blocks(), 0);
-    };
-    // Passes so far, before each epoch of the first (plain) run.
-    let scans = RefCell::new(Vec::new());
-    let count_scans = |sys: &mut System, _: Regions, _: usize| {
-        scans.borrow_mut().push(sys.os_stats().khugepaged_scans);
-    };
-    let (stats, end) = against_traced_twin(&spec, &advised_and_fragmented, &steady, &count_scans);
-    assert_eq!(end.2.promotions, 0);
-    let mut scans = scans.into_inner();
-    scans.truncate(EPOCHS);
-    scans.push(end.2.khugepaged_scans);
-    let replayed_with_a_pass = (1..EPOCHS)
-        .filter(|&k| stats[k].1 > stats[k - 1].1 && scans[k + 1] > scans[k])
-        .count();
-    assert!(replayed_with_a_pass >= 2, "{stats:?} {scans:?}");
+    for defrag in [false, true] {
+        let mut spec = rig(ThpMode::Madvise);
+        spec.thp.fault_defrag = defrag;
+        let (_, _, clocks) = run(&spec, false, &populate_a, &steady, &no_gap);
+        // A pass every epoch and a half, so most epochs hold one.
+        spec.thp.khugepaged.scan_interval_cycles = (clocks[2] - clocks[1]) * 3 / 2;
+        let fragmented_then_advised = |sys: &mut System| {
+            let node = sys.local_node();
+            let _pins = Fragmenter::apply(sys.zone_mut(node), 1.0);
+            assert_eq!(sys.zone(node).free_huge_blocks(), 0);
+            populate_a(sys);
+            let a = sys
+                .address_space()
+                .iter()
+                .nth(1)
+                .expect("a is mapped")
+                .1
+                .start();
+            sys.madvise_hugepage(a, PAGES * STRIDE);
+        };
+        // Passes so far, before each epoch of the first (plain) run.
+        let scans = RefCell::new(Vec::new());
+        let count_scans = |sys: &mut System, _: Regions, _: usize| {
+            scans.borrow_mut().push(sys.os_stats().khugepaged_scans);
+        };
+        let (stats, end) =
+            against_traced_twin(&spec, &fragmented_then_advised, &steady, &count_scans);
+        assert_eq!(end.2.promotions, 0, "defrag {defrag}");
+        assert_eq!(end.2.frames_migrated, 0, "defrag {defrag}");
+        assert_eq!(end.2.direct_compactions > 0, defrag);
+        let mut scans = scans.into_inner();
+        scans.truncate(EPOCHS);
+        scans.push(end.2.khugepaged_scans);
+        let replayed_with_a_pass = (1..EPOCHS)
+            .filter(|&k| stats[k].1 > stats[k - 1].1 && scans[k + 1] > scans[k])
+            .count();
+        assert!(
+            replayed_with_a_pass >= 2,
+            "defrag {defrag}: {stats:?} {scans:?}"
+        );
+    }
 }
 
 /// A governor epoch falls inside every epoch of the body. Once the
