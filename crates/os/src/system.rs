@@ -164,9 +164,9 @@ pub struct System {
     /// epoch can tell whether any deadline fell inside it.
     pub(crate) events_run: u64,
     /// How many khugepaged and governor passes have acted: planned a
-    /// promotion attempt or an `advise`, anything beyond their scan
-    /// charge and bookkeeping. A steady epoch is recorded only if none
-    /// inside it did.
+    /// promotion that could succeed or move memory, or an `advise`;
+    /// anything beyond their scan charge, counters and bookkeeping. A
+    /// steady epoch is recorded only if none inside it did.
     pub(crate) passes_acted: u64,
     /// Boot-time-reserved hugetlbfs pool (paper §2.3's explicit huge
     /// pages): guaranteed huge frames, immune to later fragmentation.
