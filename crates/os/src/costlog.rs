@@ -83,16 +83,11 @@ impl CostLog {
         }
     }
 
-    /// Log one access: its own cycles (no daemon charges) and whether it
-    /// hit the cursor. A probe also reports the region it was charged to
-    /// and its translation cycles, and `page`, the extent of the page it
-    /// translated. Returns whether the access would have hit the cursor.
-    pub(crate) fn push(
-        &mut self,
-        addr: u64,
-        cycles: u64,
-        probe: Option<(usize, u64, (u64, u64))>,
-    ) -> bool {
+    /// Log one access: its own cycles (no daemon charges) and, for a
+    /// probe (a cursor miss), the region it was charged to, its
+    /// translation cycles and `page`, the extent of the page it
+    /// translated.
+    pub(crate) fn push(&mut self, addr: u64, cycles: u64, probe: Option<(usize, u64, (u64, u64))>) {
         let hit = match probe {
             None => true,
             Some((region, translation, page)) => {
@@ -128,7 +123,6 @@ impl CostLog {
             self.ones += 1;
         }
         self.len += 1;
-        hit
     }
 
     /// Note that due events ran after the access just logged: they
